@@ -4,15 +4,19 @@ perturbative corrections, vacuum diagnostics, and partner-potential checks.
 Output is deterministic: fixed field order, floats rounded half-even to 10
 significant digits, no timestamps.  Files are written via a temporary name and
 a final rename so a failed run leaves no partial output behind.
+
+Requests are bounded and finite: every float flag rejects inf/nan, a request
+may ask for at most ``MAX_CELLS`` cells (exit 2 for either), and an output
+holding a non-finite number is refused as a numerical failure (exit 3).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .errors import NoSSBSolution, SolverError
@@ -24,7 +28,6 @@ from .spectrum import (
     level_solution,
     lo_energy_closed_form,
     sextic_ssb_solutions,
-    ssb_displacement,
     well_referenced_energy,
 )
 from .susy import (
@@ -49,6 +52,10 @@ _KINDS = {
 # H = p^2 + ... normalization.  Quartic references already use the native one.
 _PAPER_SCALE = {4: 1.0, 6: 2.0, 8: 2.0}
 
+# Largest number of cells (values of one list flag, or the product of the
+# lists a command combines, e.g. couplings x levels) one request may ask for.
+MAX_CELLS = 1_000_000
+
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -69,20 +76,37 @@ def _round10(obj):
     return obj
 
 
+def _check_cells(count) -> None:
+    if count > MAX_CELLS:
+        raise ValueError(f"request exceeds the limit of {MAX_CELLS} cells")
+
+
+def _finite_float(text) -> float:
+    """Parse one float flag value; inf and nan are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> list[float]:
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range must be a:b:step, got {text!r}")
-        a, b, step = (float(v) for v in parts)
+        a, b, step = (_finite_float(v) for v in parts)
         if step <= 0:
             raise ValueError("range step must be positive")
-        count = int((b - a) / step + 1e-9) + 1
+        span = (b - a) / step + 1e-9
+        count = int(span) + 1 if span < MAX_CELLS else math.inf
+        _check_cells(count)
         if count < 1:
             raise ValueError(f"empty range {text!r}")
         return [a + i * step for i in range(count)]
-    values = [float(v) for v in text.split(",") if v.strip()]
+    parts = [v for v in text.split(",") if v.strip()]
+    _check_cells(len(parts))
+    values = [_finite_float(v) for v in parts]
     if not values:
         raise ValueError("empty value list")
     return values
@@ -95,8 +119,11 @@ def _parse_levels(text: str) -> list[int]:
         lo_i, hi_i = int(lo), int(hi)
         if hi_i < lo_i:
             raise ValueError(f"descending level range {text!r}")
+        _check_cells(hi_i - lo_i + 1)
         return list(range(lo_i, hi_i + 1))
-    values = [int(v) for v in text.split(",") if v.strip()]
+    parts = [v for v in text.split(",") if v.strip()]
+    _check_cells(len(parts))
+    values = [int(v) for v in parts]
     if not values:
         raise ValueError("empty level list")
     if any(v < 0 for v in values):
@@ -104,12 +131,19 @@ def _parse_levels(text: str) -> list[int]:
     return values
 
 
-def _spec_from_args(args) -> OscillatorSpec:
+def _lambdas_and_levels(args) -> tuple[list[float], list[int]]:
+    lams, levels = _parse_float_list(args.lam), _parse_levels(args.levels)
+    _check_cells(len(lams) * len(levels))
+    return lams, levels
+
+
+def _kind_params(args) -> tuple[int, float]:
+    """Power k and curvature g for ``--kind``/``--g``."""
     k, sign = _KINDS[args.kind]
     if args.g is None:
         g = sign
     else:
-        g = float(args.g)
+        g = _finite_float(args.g)
         if g != 0.0 and (g > 0) != (sign > 0):
             raise ValueError(
                 f"--g {g} conflicts with --kind {args.kind}: "
@@ -158,16 +192,34 @@ def _render(meta: dict, records: list[dict], columns: list[str], fmt: str) -> st
     return "\n".join(lines) + "\n"
 
 
-def _solve_records(cells, worker) -> list[dict]:
-    if not cells:
-        return []
-    with ThreadPoolExecutor(max_workers=min(8, len(cells))) as pool:
-        return list(pool.map(worker, cells))
+def _output(args, subcommand: str, meta: dict, records: list[dict], columns: list[str]) -> int:
+    """The one output path: refuse non-finite records, stamp meta, render, emit."""
+    for index, rec in enumerate(records):
+        for key, value in rec.items():
+            if isinstance(value, float):
+                finite = math.isfinite(value)
+            else:
+                finite = not isinstance(value, list) or all(map(math.isfinite, value))
+            if not finite:
+                raise SolverError(f"non-finite {key} in output record {index}")
+    meta = {"tool": "effosc", "version": __version__, "subcommand": subcommand, **meta}
+    _emit(_render(meta, records, columns, args.format), args.out)
+    return 0
 
 
 _SPECTRUM_COLUMNS = [
     "kind", "g", "lambda", "n", "phase", "convention", "w", "E0", "corrections",
 ]
+
+
+def _level_record(kind, spec, n, phase, w, e0, convention, corrections=(), **after_lambda) -> dict:
+    """The fields every level record opens with; ``after_lambda`` fields
+    (``lambda_table``, ``b``) sit between ``lambda`` and ``n``."""
+    return {
+        "kind": kind, "g": spec.g, "lambda": spec.lam, **after_lambda, "n": n,
+        "phase": phase.value, "convention": convention, "w": w, "E0": e0,
+        "corrections": list(corrections),
+    }
 
 
 def _forced_phase_solution(spec, n, phase_name):
@@ -192,148 +244,77 @@ def _forced_phase_solution(spec, n, phase_name):
 
 
 def _cmd_spectrum(args) -> int:
-    k, g = _spec_from_args(args)
-    lams = _parse_float_list(args.lam)
-    levels = _parse_levels(args.levels)
-    scale_of = lambda: _scale_for(args.convention, k)  # noqa: E731
-
-    def worker(cell):
-        lam, n = cell
+    k, g = _kind_params(args)
+    lams, levels = _lambdas_and_levels(args)
+    scale = _scale_for(args.convention, k)
+    records = []
+    for lam in lams:
         spec = OscillatorSpec(k, g, lam)
-        if args.phase == "auto":
-            sol = level_solution(spec, n)
-            phase, w, e0 = sol.phase, sol.w, sol.E0
-        else:
-            phase, w, e0 = _forced_phase_solution(spec, n, args.phase)
-        scale = scale_of()
-        rec = {
-            "kind": args.kind,
-            "g": g,
-            "lambda": lam,
-            "n": n,
-            "phase": phase.value,
-            "convention": args.convention,
-            "w": w,
-            "E0": scale * e0,
-            "corrections": [],
-        }
-        if args.order > 0:
-            series = rs_corrections(spec, n, max_order=args.order, dim=args.dim)
-            rec["corrections"] = [scale * c for c in series.corrections]
-            rec["E_ipt"] = scale * series.partial_sums[-1]
-        return rec
-
-    cells = [(lam, n) for lam in lams for n in levels]
-    records = _solve_records(cells, worker)
-    meta = {
-        "tool": "effosc",
-        "version": __version__,
-        "subcommand": "spectrum",
-        "kind": args.kind,
-        "g": g,
-        "lambda": lams,
-        "levels": levels,
-        "order": args.order,
-        "convention": args.convention,
-    }
+        for n in levels:
+            if args.phase == "auto":
+                sol = level_solution(spec, n)
+                phase, w, e0 = sol.phase, sol.w, sol.E0
+            else:
+                phase, w, e0 = _forced_phase_solution(spec, n, args.phase)
+            rec = _level_record(args.kind, spec, n, phase, w, scale * e0, args.convention)
+            if args.order > 0:
+                series = rs_corrections(spec, n, max_order=args.order, dim=args.dim)
+                rec["corrections"] = [scale * c for c in series.corrections]
+                rec["E_ipt"] = scale * series.partial_sums[-1]
+            records.append(rec)
+    meta = {"kind": args.kind, "g": g, "lambda": lams, "levels": levels,
+            "order": args.order, "convention": args.convention}
     columns = _SPECTRUM_COLUMNS + (["E_ipt"] if args.order > 0 else [])
-    _emit(_render(meta, records, columns, args.format), args.out)
-    return 0
+    return _output(args, "spectrum", meta, records, columns)
 
 
 def _cmd_ipt(args) -> int:
-    k, g = _spec_from_args(args)
-    lams = _parse_float_list(args.lam)
-    levels = _parse_levels(args.levels)
-
-    def worker(cell):
-        lam, n = cell
+    k, g = _kind_params(args)
+    lams, levels = _lambdas_and_levels(args)
+    scale = _scale_for(args.convention, k)
+    records = []
+    for lam in lams:
         spec = OscillatorSpec(k, g, lam)
-        series = rs_corrections(spec, n, max_order=args.order, dim=args.dim)
-        sol = level_solution(spec, n)
-        scale = _scale_for(args.convention, k)
-        return {
-            "kind": args.kind,
-            "g": g,
-            "lambda": lam,
-            "n": n,
-            "phase": sol.phase.value,
-            "convention": args.convention,
-            "w": sol.w,
-            "E0": scale * series.partial_sums[0],
-            "corrections": [scale * c for c in series.corrections],
-            "partial_sums": [scale * p for p in series.partial_sums],
-            "basis_dim": series.basis_dim,
-        }
-
-    cells = [(lam, n) for lam in lams for n in levels]
-    records = _solve_records(cells, worker)
-    meta = {
-        "tool": "effosc",
-        "version": __version__,
-        "subcommand": "ipt",
-        "kind": args.kind,
-        "g": g,
-        "lambda": lams,
-        "levels": levels,
-        "order": args.order,
-        "convention": args.convention,
-    }
-    columns = _SPECTRUM_COLUMNS + ["partial_sums", "basis_dim"]
-    _emit(_render(meta, records, columns, args.format), args.out)
-    return 0
+        for n in levels:
+            series = rs_corrections(spec, n, max_order=args.order, dim=args.dim)
+            sol = level_solution(spec, n)
+            rec = _level_record(args.kind, spec, n, sol.phase, sol.w,
+                                scale * series.partial_sums[0], args.convention,
+                                [scale * c for c in series.corrections])
+            rec["partial_sums"] = [scale * p for p in series.partial_sums]
+            rec["basis_dim"] = series.basis_dim
+            records.append(rec)
+    meta = {"kind": args.kind, "g": g, "lambda": lams, "levels": levels,
+            "order": args.order, "convention": args.convention}
+    return _output(args, "ipt", meta, records, _SPECTRUM_COLUMNS + ["partial_sums", "basis_dim"])
 
 
 def _cmd_oracle(args) -> int:
-    k, g = _spec_from_args(args)
-    lams = _parse_float_list(args.lam)
-    levels = _parse_levels(args.levels)
-    n_max = max(levels)
-
-    def worker(lam):
+    k, g = _kind_params(args)
+    lams, levels = _lambdas_and_levels(args)
+    rel_tol = _finite_float(args.rel_tol)
+    scale = _scale_for(args.convention, k)
+    records = []
+    for lam in lams:
         spec = OscillatorSpec(k, g, lam)
-        spectrum = exact_levels(spec, n_max, rel_tol=args.rel_tol)
-        out = []
-        scale = _scale_for(args.convention, k)
+        spectrum = exact_levels(spec, max(levels), rel_tol=rel_tol)
         for n in levels:
             sol = level_solution(spec, n)
-            out.append({
-                "kind": args.kind,
-                "g": g,
-                "lambda": lam,
-                "n": n,
-                "phase": sol.phase.value,
-                "convention": args.convention,
-                "w": sol.w,
-                "E0": scale * sol.E0,
-                "corrections": [],
-                "oracle": scale * spectrum.eigenvalues[n],
-                "oracle_convergence": scale * spectrum.convergence_estimate[n],
-                "basis_dim": spectrum.dim,
-            })
-        return out
-
-    groups = _solve_records(lams, worker)
-    records = [rec for group in groups for rec in group]
-    meta = {
-        "tool": "effosc",
-        "version": __version__,
-        "subcommand": "oracle",
-        "kind": args.kind,
-        "g": g,
-        "lambda": lams,
-        "levels": levels,
-        "rel_tol": args.rel_tol,
-        "convention": args.convention,
-    }
+            rec = _level_record(args.kind, spec, n, sol.phase, sol.w, scale * sol.E0,
+                                args.convention)
+            rec["oracle"] = scale * spectrum.eigenvalues[n]
+            rec["oracle_convergence"] = scale * spectrum.convergence_estimate[n]
+            rec["basis_dim"] = spectrum.dim
+            records.append(rec)
+    meta = {"kind": args.kind, "g": g, "lambda": lams, "levels": levels,
+            "rel_tol": rel_tol, "convention": args.convention}
     columns = _SPECTRUM_COLUMNS + ["oracle", "oracle_convergence", "basis_dim"]
-    _emit(_render(meta, records, columns, args.format), args.out)
-    return 0
+    return _output(args, "oracle", meta, records, columns)
 
 
 # --- published-table reproduction -------------------------------------------
 #
-# Each table builder bakes in the published grid and unit convention:
+# Each table bakes in the published grid and unit convention:
 #   1: quartic, g=+1, native units.
 #   2: quartic, g=-1, energies measured from the classical well bottom.
 #   3: sextic, g=+1, table coupling L maps to native lambda = L/2, energy x2.
@@ -344,15 +325,25 @@ def _cmd_oracle(args) -> int:
 # Conventions 3 and 5 disagree about the coupling map; both were validated
 # cell-by-cell against the published grids before being frozen here.
 
-_TABLE1_LAMBDAS = (0.1, 1.0, 10.0, 100.0)
-_TABLE1_LEVELS = (0, 1, 2, 4, 10, 40)
-_TABLE2_LAMBDAS = (0.1, 1.0, 10.0, 100.0)
-_TABLE2_LEVELS = (0, 1, 2, 4, 10)
-_TABLE3_LAMBDAS = (0.2, 2.0, 10.0, 100.0, 400.0, 2000.0)
-_TABLE3_LEVELS = (0, 1, 2, 4, 6, 10, 14, 17)
-_TABLE4_LEVELS = tuple(range(20))
-_TABLE5_LAMBDAS = (0.1, 1.0, 5.0, 50.0, 200.0)
-_TABLE5_LEVELS = (0, 1, 2, 4, 6, 8, 9, 10, 11, 12, 13, 14)
+
+def _doubled(spec, e0):
+    return 2.0 * e0
+
+
+# id -> (kind, k, g, native lambda per table coupling, table couplings,
+#        levels, table value from (spec, E0)); table 4 is built from its
+#        partner pair in `table_records`.
+_TABLES = {
+    1: ("quartic-aho", 4, 1.0, 1.0, (0.1, 1.0, 10.0, 100.0), (0, 1, 2, 4, 10, 40),
+        lambda spec, e0: e0),
+    2: ("quartic-dwo", 4, -1.0, 1.0, (0.1, 1.0, 10.0, 100.0), (0, 1, 2, 4, 10),
+        well_referenced_energy),
+    3: ("sextic-aho", 6, 1.0, 0.5, (0.2, 2.0, 10.0, 100.0, 400.0, 2000.0),
+        (0, 1, 2, 4, 6, 10, 14, 17), _doubled),
+    5: ("octic-aho", 8, 1.0, 1.0, (0.1, 1.0, 5.0, 50.0, 200.0),
+        (0, 1, 2, 4, 6, 8, 9, 10, 11, 12, 13, 14), _doubled),
+}
+_TABLE4_LEVELS = range(20)
 
 _TABLE_COLUMNS = [
     "kind", "g", "lambda", "lambda_table", "n", "phase", "convention",
@@ -360,174 +351,85 @@ _TABLE_COLUMNS = [
 ]
 
 
-def _table_cell(kind, spec, lam_table, n, convention, value_of):
-    sol = level_solution(spec, n)
-    return {
-        "kind": kind,
-        "g": spec.g,
-        "lambda": spec.lam,
-        "lambda_table": lam_table,
-        "n": n,
-        "phase": sol.phase.value,
-        "convention": convention,
-        "w": sol.w,
-        "E0": sol.E0,
-        "corrections": [],
-        "value": value_of(spec, sol),
-    }
-
-
 def table_records(table_id: int) -> list[dict]:
     """Record list for one published table, in row-major printed order."""
-    if table_id == 1:
-        cells = [(lam, n) for lam in _TABLE1_LAMBDAS for n in _TABLE1_LEVELS]
-        worker = lambda c: _table_cell(  # noqa: E731
-            "quartic-aho", OscillatorSpec(4, 1.0, c[0]), c[0], c[1],
-            "paper-table-1", lambda spec, sol: sol.E0)
-        return _solve_records(cells, worker)
-    if table_id == 2:
-        cells = [(lam, n) for lam in _TABLE2_LAMBDAS for n in _TABLE2_LEVELS]
-        worker = lambda c: _table_cell(  # noqa: E731
-            "quartic-dwo", OscillatorSpec(4, -1.0, c[0]), c[0], c[1],
-            "paper-table-2",
-            lambda spec, sol: well_referenced_energy(spec, sol.E0))
-        return _solve_records(cells, worker)
-    if table_id == 3:
-        cells = [(lam, n) for lam in _TABLE3_LAMBDAS for n in _TABLE3_LEVELS]
-        worker = lambda c: _table_cell(  # noqa: E731
-            "sextic-aho", OscillatorSpec(6, 1.0, c[0] / 2.0), c[0], c[1],
-            "paper-table-3", lambda spec, sol: 2.0 * sol.E0)
-        return _solve_records(cells, worker)
     if table_id == 4:
         pair = partner_specs(1.0)
-        cells = [("sextic-aho", pair.aho, n) for n in _TABLE4_LEVELS]
-        cells += [("sextic-dwo", pair.dwo, n + 1) for n in _TABLE4_LEVELS]
-        worker = lambda c: _table_cell(  # noqa: E731
-            c[0], c[1], c[1].lam, c[2],
-            "paper-table-4", lambda spec, sol: 2.0 * sol.E0)
-        return _solve_records(cells, worker)
-    if table_id == 5:
-        cells = [(lam, n) for lam in _TABLE5_LAMBDAS for n in _TABLE5_LEVELS]
-        worker = lambda c: _table_cell(  # noqa: E731
-            "octic-aho", OscillatorSpec(8, 1.0, c[0]), c[0], c[1],
-            "paper-table-5", lambda spec, sol: 2.0 * sol.E0)
-        return _solve_records(cells, worker)
-    raise ValueError(f"unknown table id {table_id}")
+        cells = [("sextic-aho", pair.aho, pair.aho.lam, n) for n in _TABLE4_LEVELS]
+        cells += [("sextic-dwo", pair.dwo, pair.dwo.lam, n + 1) for n in _TABLE4_LEVELS]
+        value_of = _doubled
+    elif table_id in _TABLES:
+        kind, k, g, lam_per_table, lams, levels, value_of = _TABLES[table_id]
+        cells = [(kind, OscillatorSpec(k, g, lam_per_table * lam), lam, n)
+                 for lam in lams for n in levels]
+    else:
+        raise ValueError(f"unknown table id {table_id}")
+    records = []
+    for kind, spec, lam_table, n in cells:
+        sol = level_solution(spec, n)
+        rec = _level_record(kind, spec, n, sol.phase, sol.w, sol.E0,
+                            f"paper-table-{table_id}", lambda_table=lam_table)
+        rec["value"] = value_of(spec, sol.E0)
+        records.append(rec)
+    return records
 
 
 def _cmd_table(args) -> int:
-    records = table_records(args.id)
-    meta = {
-        "tool": "effosc",
-        "version": __version__,
-        "subcommand": "table",
-        "id": args.id,
-        "convention": f"paper-table-{args.id}",
-    }
-    _emit(_render(meta, records, _TABLE_COLUMNS, args.format), args.out)
-    return 0
+    meta = {"id": args.id, "convention": f"paper-table-{args.id}"}
+    return _output(args, "table", meta, table_records(args.id), _TABLE_COLUMNS)
 
 
 def _cmd_vacuum(args) -> int:
     lams = _parse_float_list(args.lam)
-
-    def worker(lam):
+    records = []
+    for lam in lams:
         vac = vacuum_structure(lam)
-        return {
-            "kind": "quartic-aho",
-            "g": 1.0,
-            "lambda": lam,
-            "n": 0,
-            "phase": "SR",
-            "convention": "half",
-            "w": vac.w,
-            "E0": vac.E0,
-            "corrections": [],
-            "w0": vac.w0,
-            "alpha": vac.alpha,
-            "n0": vac.n0,
-            "E0_pert": vac.E0_pert,
-            "stability_gap": vac.E0 - vac.E0_pert,
-        }
-
-    records = _solve_records(lams, worker)
-    meta = {
-        "tool": "effosc",
-        "version": __version__,
-        "subcommand": "vacuum",
-        "lambda": lams,
-    }
+        rec = _level_record("quartic-aho", OscillatorSpec(4, 1.0, lam), 0,
+                            Phase.SYMMETRY_RESTORED, vac.w, vac.E0, "half")
+        rec.update(w0=vac.w0, alpha=vac.alpha, n0=vac.n0, E0_pert=vac.E0_pert,
+                   stability_gap=vac.E0 - vac.E0_pert)
+        records.append(rec)
     columns = _SPECTRUM_COLUMNS + ["w0", "alpha", "n0", "E0_pert", "stability_gap"]
-    _emit(_render(meta, records, columns, args.format), args.out)
-    return 0
+    return _output(args, "vacuum", {"lambda": lams}, records, columns)
 
 
 def _cmd_effective_potential(args) -> int:
     lams = _parse_float_list(args.lam)
     s_values = _parse_float_list(args.grid)
-
-    def worker(cell):
-        lam, s = cell
-        return {
-            "kind": "quartic-aho",
-            "g": 1.0,
-            "lambda": lam,
-            "n": 0,
-            "phase": "SR",
-            "convention": "half",
-            "s": s,
-            "w": float("nan"),
-            "E0": effective_potential(lam, s, "variational"),
-            "corrections": [],
-            "v_variational": effective_potential(lam, s, "variational"),
-            "v_perturbative": effective_potential(lam, s, "perturbative"),
-        }
-
-    cells = [(lam, s) for lam in lams for s in s_values]
-    records = _solve_records(cells, worker)
-    meta = {
-        "tool": "effosc",
-        "version": __version__,
-        "subcommand": "effective-potential",
-        "lambda": lams,
-        "grid": [s_values[0], s_values[-1]],
-    }
+    _check_cells(len(lams) * len(s_values))
+    records = [
+        {"kind": "quartic-aho", "g": 1.0, "lambda": lam, "s": s,
+         "v_variational": effective_potential(lam, s, "variational"),
+         "v_perturbative": effective_potential(lam, s, "perturbative")}
+        for lam in lams for s in s_values
+    ]
+    meta = {"lambda": lams, "grid": [s_values[0], s_values[-1]]}
     columns = ["kind", "g", "lambda", "s", "v_variational", "v_perturbative"]
-    _emit(_render(meta, records, columns, args.format), args.out)
-    return 0
+    return _output(args, "effective-potential", meta, records, columns)
 
 
 def _cmd_susy(args) -> int:
     b_values = _parse_float_list(args.b)
     if args.mode == "wavefunction":
         grid = _parse_float_list(args.grid)
+        _check_cells(len(b_values) * len(grid))
         records = []
         for b in b_values:
-            exact = ground_wavefunction("susy_exact", b, grid)
-            gauss = ground_wavefunction("effective_gaussian", b, grid)
-            for f, amp in zip(grid, exact):
-                records.append({"curve": "susy_exact", "b": b, "f": f, "psi": float(amp)})
-            for f, amp in zip(grid, gauss):
-                records.append({"curve": "effective_gaussian", "b": b, "f": f, "psi": float(amp)})
-        meta = {
-            "tool": "effosc",
-            "version": __version__,
-            "subcommand": "susy-wavefunction",
-            "b": b_values,
-        }
+            for curve in ("susy_exact", "effective_gaussian"):
+                amps = ground_wavefunction(curve, b, grid)
+                records += [{"curve": curve, "b": b, "f": f, "psi": float(amp)}
+                            for f, amp in zip(grid, amps)]
+        meta = {"b": b_values}
         try:
-            overlap, l2 = wavefunction_distance(b_values[0], grid)
+            meta["overlap"], meta["l2_distance"] = wavefunction_distance(b_values[0], grid)
         except ValueError:
-            meta["overlap"] = None
-            meta["l2_distance"] = None
-        else:
-            meta["overlap"] = overlap
-            meta["l2_distance"] = l2
-        _emit(_render(meta, records, ["curve", "b", "f", "psi"], args.format), args.out)
-        return 0
+            meta["overlap"] = meta["l2_distance"] = None
+        return _output(args, "susy-wavefunction", meta, records, ["curve", "b", "f", "psi"])
 
     levels = _parse_levels(args.levels)
-    units = "paper" if args.convention == "paper" else "half"
+    _check_cells(len(b_values) * len(levels))
+    units = args.convention
+    scale = _scale_for(units, 6)
     records = []
     for b in b_values:
         pair = partner_specs(b)
@@ -535,65 +437,40 @@ def _cmd_susy(args) -> int:
             if args.mode == "ispp":
                 aho = level_solution(pair.aho, n)
                 dwo = level_solution(pair.dwo, n + 1)
-                scale = 2.0 if units == "paper" else 1.0
-                records.append({
-                    "kind": "sextic-dwo",
-                    "g": pair.dwo.g,
-                    "lambda": pair.dwo.lam,
-                    "b": b,
-                    "n": n,
-                    "phase": dwo.phase.value,
-                    "convention": units,
-                    "w": dwo.w,
-                    "E0": scale * dwo.E0,
-                    "corrections": [],
-                    "partner_E0": scale * aho.E0,
-                    "residual": ispp_residual(b, n, units=units),
-                })
+                rec = _level_record("sextic-dwo", pair.dwo, n, dwo.phase, dwo.w,
+                                    scale * dwo.E0, units, b=b)
+                rec["partner_E0"] = scale * aho.E0
+                rec["residual"] = ispp_residual(b, n, units=units)
+                records.append(rec)
             else:
                 for which, spec in (("aho", pair.aho), ("dwo", pair.dwo)):
                     sol = level_solution(spec, n)
-                    records.append({
-                        "kind": f"sextic-{which}",
-                        "g": spec.g,
-                        "lambda": spec.lam,
-                        "b": b,
-                        "n": n,
-                        "phase": sol.phase.value,
-                        "convention": "half",
-                        "w": sol.w,
-                        "E0": sol.E0,
-                        "corrections": [],
-                        "residual": scaling_residual(b, n, which=which),
-                    })
-    meta = {
-        "tool": "effosc",
-        "version": __version__,
-        "subcommand": f"susy-{args.mode}",
-        "b": b_values,
-        "levels": levels,
-    }
+                    rec = _level_record(f"sextic-{which}", spec, n, sol.phase, sol.w,
+                                        sol.E0, "half", b=b)
+                    rec["residual"] = scaling_residual(b, n, which=which)
+                    records.append(rec)
+    meta = {"b": b_values, "levels": levels}
     extra = ["b", "partner_E0", "residual"] if args.mode == "ispp" else ["b", "residual"]
-    _emit(_render(meta, records, _SPECTRUM_COLUMNS + extra, args.format), args.out)
-    return 0
+    return _output(args, f"susy-{args.mode}", meta, records, _SPECTRUM_COLUMNS + extra)
 
 
-def _add_common(parser, *, kinds=True, order=False, oracle=False) -> None:
-    if kinds:
-        parser.add_argument("--kind", choices=sorted(_KINDS), required=True)
-        parser.add_argument("--g", type=float, default=None,
-                            help="curvature coefficient; sign must match --kind")
-        parser.add_argument("--lambda", dest="lam", required=True,
-                            help="coupling: single value, comma list, or a:b:step")
-        parser.add_argument("--levels", default="0", help="level n or a..b or list")
+def _add_level_flags(parser, *, order=False) -> None:
+    parser.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    parser.add_argument("--g", type=float, default=None,
+                        help="curvature coefficient; sign must match --kind")
+    parser.add_argument("--lambda", dest="lam", required=True,
+                        help="coupling: single value, comma list, or a:b:step")
+    parser.add_argument("--levels", default="0", help="level n or a..b or list")
     if order:
         parser.add_argument("--order", type=int, choices=range(0, 5), default=0)
         parser.add_argument("--dim", type=int, default=None,
                             help="basis size for the perturbative expansion")
-    if oracle:
-        parser.add_argument("--rel-tol", type=float, default=1e-10)
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--convention", choices=("half", "paper"), default="half")
+
+
+def _add_output_flags(parser, *, fmt="json", convention=None) -> None:
+    parser.add_argument("--format", choices=("json", "csv"), default=fmt)
+    if convention is not None:
+        parser.add_argument("--convention", choices=("half", "paper"), default=convention)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -606,37 +483,38 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="leading-order spectra with optional corrections")
-    _add_common(p, order=True)
+    _add_level_flags(p, order=True)
+    _add_output_flags(p, convention="half")
     p.add_argument("--phase", choices=("auto", "sr", "ssb"), default="auto",
                    help="force a phase instead of selecting by energy")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("table", help="reproduce a published table")
     p.add_argument("--id", type=int, choices=(1, 2, 3, 4, 5), required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--out", default=None)
+    _add_output_flags(p, fmt="csv")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("oracle", help="matrix-diagonalization reference eigenvalues")
-    _add_common(p, oracle=True)
+    _add_level_flags(p)
+    p.add_argument("--rel-tol", type=float, default=1e-10)
+    _add_output_flags(p, convention="half")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("ipt", help="perturbative correction series per level")
-    _add_common(p, order=True)
+    _add_level_flags(p, order=True)
+    _add_output_flags(p, convention="half")
     p.set_defaults(func=_cmd_ipt)
 
     p = sub.add_parser("vacuum", help="vacuum structure diagnostics (quartic, g=1)")
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_vacuum)
 
     p = sub.add_parser("effective-potential",
                        help="displacement-resolved vacuum energy (quartic, g=1)")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--grid", default="-2:2:0.05", help="displacement grid a:b:step")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_effective_potential)
 
     p = sub.add_parser("susy", help="partner-potential checks for the sextic pair")
@@ -644,9 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", default="1", help="super-potential coefficient(s)")
     p.add_argument("--levels", default="0..20")
     p.add_argument("--grid", default="-2:2:0.005", help="position grid a:b:step")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--convention", choices=("half", "paper"), default="paper")
-    p.add_argument("--out", default=None)
+    _add_output_flags(p, convention="paper")
     p.set_defaults(func=_cmd_susy)
 
     return parser
@@ -681,7 +557,7 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except SolverError as exc:
+    except (SolverError, OverflowError) as exc:
         print(f"effosc: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

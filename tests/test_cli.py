@@ -2,11 +2,12 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from effosc.cli import _fmt, _round10, run
+from effosc.cli import MAX_CELLS, _fmt, _round10, run
 from effosc.model import OscillatorSpec
 from effosc.spectrum import level_solution, well_referenced_energy
 
@@ -239,3 +240,61 @@ def test_round10_idempotent(x):
     once = _round10(x)
     assert _round10(once) == once
     assert _fmt(once) == _fmt(x)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--kind", "quartic-aho", "--lambda", "inf"],
+    ["spectrum", "--kind", "quartic-aho", "--lambda", "nan"],
+    ["spectrum", "--kind", "quartic-aho", "--lambda", "0:inf:1"],
+    ["spectrum", "--kind", "quartic-aho", "--lambda", "0.1", "--g", "inf"],
+    ["oracle", "--kind", "quartic-aho", "--lambda", "1", "--rel-tol", "nan"],
+    ["effective-potential", "--lambda", "0.1", "--grid", "-1:1:nan"],
+    ["susy", "ispp", "--b", "nan"],
+])
+def test_non_finite_input_rejected(capsys, argv):
+    code, out, err = invoke(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "non-finite value" in err
+
+
+def test_non_finite_result_is_numerical_failure(capsys, tmp_path):
+    argv = ["spectrum", "--kind", "quartic-aho", "--lambda", "1e300"]
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (3, "")
+    assert "non-finite" in err
+    target = tmp_path / "never.json"
+    assert invoke(capsys, argv + ["--out", str(target)])[0] == 3
+    assert list(tmp_path.iterdir()) == []
+    # an overflow inside a solver is a numerical failure, not a traceback
+    code, out, err = invoke(capsys, ["effective-potential", "--lambda", "1e300"])
+    assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--kind", "quartic-aho", "--lambda", "0:1:1e-7"],
+    ["spectrum", "--kind", "quartic-aho", "--lambda", "0:1e300:1e-300"],
+    ["spectrum", "--kind", "quartic-aho", "--lambda", "0.1", "--levels", "0..99999999999"],
+    ["spectrum", "--kind", "quartic-aho", "--lambda", "0:1:0.001", "--levels", "0..1000"],
+    ["susy", "wavefunction", "--b", "1,2", "--grid", "0:1:2e-6"],
+])
+def test_request_above_cell_cap_rejected(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert f"limit of {MAX_CELLS} cells" in err
+
+
+def test_effective_potential_json_is_strict_and_matches_csv(capsys):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    base = ["effective-potential", "--lambda", "0.1,1", "--grid", "-1:1:0.5"]
+    code, out, _ = invoke(capsys, base)
+    assert code == 0
+    records = json.loads(out, parse_constant=reject)["records"]
+    _, csv_out, _ = invoke(capsys, base + ["--format", "csv"])
+    header = csv_out.split("\n", 1)[0].split(",")
+    assert len(records) == 10
+    assert all(list(rec) == header for rec in records)

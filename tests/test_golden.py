@@ -1,0 +1,35 @@
+"""Frozen CLI outputs: the published tables and the README examples must stay
+byte-identical.  Each file under ``tests/golden/`` is the stdout of the argv
+listed here; regenerate a file only for an intended, documented format change.
+Oracle output is left out on purpose: its convergence field is round-off.
+"""
+from pathlib import Path
+
+import pytest
+
+from effosc.cli import run
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+GOLDEN = {
+    **{f"table-{i}.csv": ["table", "--id", str(i)] for i in range(1, 6)},
+    "spectrum-quartic-aho-order2.json": [
+        "spectrum", "--kind", "quartic-aho", "--g", "1", "--lambda", "0.1",
+        "--levels", "0..4", "--order", "2", "--format", "json"],
+    "spectrum-quartic-dwo-ssb.json": [
+        "spectrum", "--kind", "quartic-dwo", "--lambda", "0.02", "--levels", "0",
+        "--phase", "ssb"],
+    "vacuum.json": ["vacuum", "--lambda", "0.1"],
+    "susy-ispp.json": ["susy", "ispp", "--b", "1", "--levels", "0..20"],
+    "ipt-quartic-aho.json": [
+        "ipt", "--kind", "quartic-aho", "--lambda", "0.1", "--levels", "0..2",
+        "--order", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_matches_golden_file(capsys, name):
+    code = run(GOLDEN[name])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / name).read_text()
