@@ -7,7 +7,8 @@ a final rename so a failed run leaves no partial output behind.
 
 Requests are bounded and finite: every float flag rejects inf/nan, a request
 may ask for at most ``MAX_CELLS`` cells (exit 2 for either), and an output
-holding a non-finite number is refused as a numerical failure (exit 3).
+holding a non-finite number, like a solve that runs out of memory, is a
+numerical failure (exit 3).
 """
 from __future__ import annotations
 
@@ -454,17 +455,21 @@ def _cmd_susy(args) -> int:
     return _output(args, f"susy-{args.mode}", meta, records, _SPECTRUM_COLUMNS + extra)
 
 
-def _add_level_flags(parser, *, order=False) -> None:
+def _add_level_flags(parser, *, order=None) -> None:
+    """Level flags; ``order`` = (choices, default) adds ``--order`` and
+    ``--dim`` for the perturbative series."""
     parser.add_argument("--kind", choices=sorted(_KINDS), required=True)
     parser.add_argument("--g", type=float, default=None,
                         help="curvature coefficient; sign must match --kind")
     parser.add_argument("--lambda", dest="lam", required=True,
                         help="coupling: single value, comma list, or a:b:step")
     parser.add_argument("--levels", default="0", help="level n or a..b or list")
-    if order:
-        parser.add_argument("--order", type=int, choices=range(0, 5), default=0)
+    if order is not None:
+        choices, default = order
+        parser.add_argument("--order", type=int, choices=choices, default=default)
         parser.add_argument("--dim", type=int, default=None,
-                            help="basis size for the perturbative expansion")
+                            help="basis states 0..dim-1 the perturbative series may use "
+                                 "(default n + 3k + 1, exact through fourth order)")
 
 
 def _add_output_flags(parser, *, fmt="json", convention=None) -> None:
@@ -483,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="leading-order spectra with optional corrections")
-    _add_level_flags(p, order=True)
+    _add_level_flags(p, order=(range(0, 5), 0))
     _add_output_flags(p, convention="half")
     p.add_argument("--phase", choices=("auto", "sr", "ssb"), default="auto",
                    help="force a phase instead of selecting by energy")
@@ -501,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("ipt", help="perturbative correction series per level")
-    _add_level_flags(p, order=True)
+    _add_level_flags(p, order=(range(1, 5), 4))
     _add_output_flags(p, convention="half")
     p.set_defaults(func=_cmd_ipt)
 
@@ -559,6 +564,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except (SolverError, OverflowError) as exc:
         print(f"effosc: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("effosc: numerical failure: out of memory", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"effosc: invalid request: {exc}", file=sys.stderr)

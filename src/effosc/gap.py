@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoPhysicalRoot
+from .errors import NoPhysicalRoot, SolverError
 from .model import OscillatorSpec, Phase
 
 __all__ = [
@@ -252,29 +252,30 @@ def solve_gap(spec: OscillatorSpec, x: float, phase: Phase) -> float:
     Closed forms (polished by Newton on the exact polynomial) for the cubic
     and biquadratic families; bracketed root-finding for the octic quintic.
     Raises NoPhysicalRoot when the displaced quartic branch is requested
-    above its critical coupling.
+    above its critical coupling, and SolverError when the root overflows.
     """
     g, lam, k = spec.g, spec.lam, spec.k
     if lam == 0.0:
         return math.sqrt(g)  # g > 0 enforced by OscillatorSpec
+    problem = gap_polynomial(spec, x, phase)  # validates (k, g) support
     if phase is Phase.SPONTANEOUSLY_BROKEN:
-        problem = gap_polynomial(spec, x, phase)  # validates (k, g) support
         G = -g
         lam_c = critical_coupling(G, x)
         if lam > lam_c * (1.0 + 1e-12):
             raise NoPhysicalRoot(lam, lam_c)
-        w = _quartic_ssb_root(G, lam, lam_c)
-        return _newton_polish(problem.coefficients, w)
-    problem = gap_polynomial(spec, x, phase)
-    if k == 4:
-        w = _quartic_sr_root(g, problem.coefficients[0])
-        return _newton_polish(problem.coefficients, w)
-    if k == 6:
+        w = _newton_polish(problem.coefficients, _quartic_ssb_root(G, lam, lam_c))
+    elif k == 4:
+        w = _newton_polish(problem.coefficients, _quartic_sr_root(g, problem.coefficients[0]))
+    elif k == 6:
         c = -problem.coefficients[0]
         disc = math.sqrt(g * g + 4.0 * c)
         wsq = 0.5 * (g + disc) if g >= 0.0 else 2.0 * c / (disc - g)
-        return _newton_polish(problem.coefficients, math.sqrt(wsq))
-    roots = positive_real_roots(problem.coefficients)
-    if not roots:
-        raise NoPhysicalRoot(lam, float("nan"))
-    return roots[-1]
+        w = _newton_polish(problem.coefficients, math.sqrt(wsq))
+    else:
+        roots = positive_real_roots(problem.coefficients)
+        if not roots:
+            raise NoPhysicalRoot(lam, float("nan"))
+        w = roots[-1]
+    if not math.isfinite(w):
+        raise SolverError("non-finite frequency %r at coupling %g, x = %g" % (w, lam, x))
+    return w

@@ -11,7 +11,15 @@ undisplaced), which makes every energy denominator w(n) * (n - m).
 
 Matrix elements are exact: powers of the position operator are computed as
 matrix powers of the tridiagonal ladder-sum matrix in a basis padded by k
-states, so no truncation leaks into the retained block.
+states on each side, so no truncation leaks into the retained block.
+
+The series works on a window of states.  lam * H' couples |m> only to
+|m +- j>, j <= k, and its (n, n) element vanishes, so through fourth order
+the wavefunction corrections reach no state with |m - n| > 3k.  The
+recursion therefore runs on states [max(0, n - 3k), min(dim, n + 3k + 1)),
+at most 6k + 1 of them, and the basis-enlargement cross-check on the same
+window grown by k at the top.  Cost and memory per level do not depend on
+n or on the basis dimension.
 """
 
 from __future__ import annotations
@@ -58,32 +66,38 @@ class IPTSeries:
     partial_sums: tuple
 
 
-def position_power_matrix(k: int, w: float, dim: int) -> np.ndarray:
-    """Matrix of f^k in the first `dim` oscillator states at frequency w.
+def position_power_matrix(k: int, w: float, dim: int, start: int = 0) -> np.ndarray:
+    """Matrix of f^k in the `dim` oscillator states from `start` at frequency w.
 
-    Built as the k-th matrix power of the tridiagonal position matrix in
-    dimension dim + k, then truncated: the retained block then carries the
-    exact operator elements (a k-step ladder path from states below `dim`
-    never climbs past dim + k - 1).  Result is exactly symmetric.
+    Built as the k-th matrix power of the tridiagonal position matrix on the
+    block padded by k states on each side (as far as state 0 allows), then
+    cut back: the retained block then carries the exact operator elements (a
+    k-step ladder path between two block states never leaves the padding).
+    Result is exactly symmetric.
     """
     if not (1 <= k <= 8):
         raise ValueError("power k must be between 1 and 8, got %r" % (k,))
     if dim < 1:
         raise ValueError("dimension must be at least 1, got %r" % (dim,))
+    if start < 0:
+        raise ValueError("window start must be non-negative, got %r" % (start,))
     if not (w > 0.0):
         raise ValueError("frequency w must be positive, got %r" % (w,))
-    pad = dim + k
+    below = min(start, k)
+    pad = below + dim + k
     f = np.zeros((pad, pad))
-    off = np.sqrt(np.arange(1, pad) / (2.0 * w))
+    first = start - below
+    off = np.sqrt(np.arange(first + 1, first + pad) / (2.0 * w))
     idx = np.arange(pad - 1)
     f[idx, idx + 1] = off
     f[idx + 1, idx] = off
-    m = np.linalg.matrix_power(f, k)[:dim, :dim]
+    m = np.linalg.matrix_power(f, k)[below:below + dim, below:below + dim]
     return 0.5 * (m + m.T)
 
 
-def perturbation_matrix(spec: OscillatorSpec, n: int, dim: int) -> np.ndarray:
-    """Matrix of the residual interaction lam*H' in level n's oscillator basis.
+def perturbation_matrix(spec: OscillatorSpec, n: int, dim: int, start: int = 0) -> np.ndarray:
+    """Matrix of the residual interaction lam*H' in level n's oscillator basis,
+    on the `dim` states from `start`.
 
     Only defined about an undisplaced solution; the (n, n) entry vanishes
     to rounding by the construction of C.
@@ -94,37 +108,42 @@ def perturbation_matrix(spec: OscillatorSpec, n: int, dim: int) -> np.ndarray:
             "perturbative corrections are defined about an undisplaced solution; "
             "level %d of this spec selects a displaced one" % n
         )
-    if dim <= n:
-        raise ValueError("basis dimension %d cannot hold the expansion level %d" % (dim, n))
+    if not (start <= n < start + dim):
+        raise ValueError("basis dimension %d cannot hold the expansion level %d"
+                         % (start + dim, n))
     w = sol.w
-    v = position_power_matrix(spec.k, w, dim) - sol.A * position_power_matrix(2, w, dim)
+    v = (position_power_matrix(spec.k, w, dim, start)
+         - sol.A * position_power_matrix(2, w, dim, start))
     # B = 0 for an undisplaced solution, so no linear-in-f term survives
     v[np.diag_indices(dim)] -= sol.C
     return spec.lam * v
 
 
-def _denominators(w: float, n: int, dim: int) -> np.ndarray:
-    """Unperturbed energy gaps E0(n) - E0(m) = w (n - m); zero slot at m = n."""
-    return w * (n - np.arange(dim, dtype=float))
+def _denominators(w: float, n: int, dim: int, start: int = 0) -> np.ndarray:
+    """Unperturbed energy gaps E0(n) - E0(m) = w (n - m) for the `dim` states
+    m from `start`; zero slot at m = n."""
+    return w * (n - np.arange(start, start + dim, dtype=float))
 
 
-def _rs_run(v: np.ndarray, w: float, n: int, max_order: int):
+def _rs_run(v: np.ndarray, w: float, n: int, max_order: int, start: int = 0):
+    """RS energies through `max_order` from the matrix v on the states from `start`."""
     dim = v.shape[0]
-    gaps = _denominators(w, n, dim)
+    at = n - start
+    gaps = _denominators(w, n, dim, start)
     inv = np.zeros(dim)
-    nz = np.arange(dim) != n
+    nz = np.arange(dim) != at
     inv[nz] = 1.0 / gaps[nz]
     psi = [np.zeros(dim)]
-    psi[0][n] = 1.0
+    psi[0][at] = 1.0
     energies = []
     for order in range(1, max_order + 1):
         vc = v @ psi[order - 1]
-        energies.append(vc[n])
+        energies.append(vc[at])
         correction = vc.copy()
         for back in range(1, order):
             correction -= energies[back - 1] * psi[order - back]
         new = correction * inv
-        new[n] = 0.0
+        new[at] = 0.0
         psi.append(new)
     return energies
 
@@ -133,7 +152,8 @@ def rs_corrections(spec: OscillatorSpec, n: int, max_order: int = 4, dim=None) -
     """Rayleigh-Schrodinger corrections dE1..dE`max_order` for level n.
 
     Default basis dimension n + 3k + 1 is exact through fourth order (the
-    residual interaction couples |m> only to |m +- j|, j <= k).  The series
+    residual interaction couples |m> only to |m +- j|, j <= k).  Only the
+    states |m - n| <= 3k below `dim` enter (module docstring).  The series
     is recomputed in a basis enlarged by k; any correction that moves by
     more than 1e-10 relative triggers a TruncationWarning.
     """
@@ -147,9 +167,11 @@ def rs_corrections(spec: OscillatorSpec, n: int, max_order: int = 4, dim=None) -
             "perturbative corrections are defined about an undisplaced solution; "
             "level %d of this spec selects a displaced one" % n
         )
-    v = perturbation_matrix(spec, n, dim)
-    energies = _rs_run(v, sol.w, n, max_order)
-    enriched = _rs_run(perturbation_matrix(spec, n, dim + spec.k), sol.w, n, max_order)
+    lo, top = max(0, n - 3 * spec.k), min(dim, n + 3 * spec.k + 1)
+    v = perturbation_matrix(spec, n, top - lo, lo)
+    energies = _rs_run(v, sol.w, n, max_order, lo)
+    v = perturbation_matrix(spec, n, top + spec.k - lo, lo)
+    enriched = _rs_run(v, sol.w, n, max_order, lo)
     scale0 = max(1.0, abs(sol.E0), max(abs(e) for e in energies))
     for small, large in zip(energies, enriched):
         diff = abs(large - small)

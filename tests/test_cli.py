@@ -178,6 +178,16 @@ def test_ipt_subcommand(capsys):
     assert rec["partial_sums"][2] == pytest.approx(0.5589266589, abs=1e-9)
 
 
+def test_ipt_order_defaults_to_four(capsys):
+    argv = ["ipt", "--kind", "sextic-aho", "--lambda", "0.5", "--levels", "0..3"]
+    default = invoke(capsys, argv)
+    assert default[0] == 0
+    assert default == invoke(capsys, argv + ["--order", "4"])
+    code, out, err = invoke(capsys, argv + ["--order", "0"])
+    assert (code, out) == (2, "")
+    assert "invalid choice" in err
+
+
 def test_oracle_subcommand(capsys):
     code, out, _ = invoke(
         capsys, ["oracle", "--kind", "quartic-aho", "--lambda", "1", "--levels", "0..2"]
@@ -269,6 +279,26 @@ def test_non_finite_result_is_numerical_failure(capsys, tmp_path):
     # an overflow inside a solver is a numerical failure, not a traceback
     code, out, err = invoke(capsys, ["effective-potential", "--lambda", "1e300"])
     assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize("lam", ["1e200", "1e300"])
+def test_vacuum_overflow_is_numerical_failure(capsys, lam):
+    code, out, err = invoke(capsys, ["vacuum", "--lambda", lam])
+    assert (code, out) == (3, "")
+    assert "non-finite" in err
+
+
+def test_out_of_memory_is_numerical_failure(capsys, monkeypatch):
+    import effosc.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "rs_corrections", exhausted)
+    code, out, err = invoke(
+        capsys, ["ipt", "--kind", "quartic-aho", "--lambda", "0.1", "--levels", "0"])
+    assert (code, out) == (3, "")
+    assert err == "effosc: numerical failure: out of memory\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from effosc.errors import NoPhysicalRoot
+from effosc.errors import NoPhysicalRoot, SolverError
 from effosc.gap import critical_coupling, gap_polynomial, positive_real_roots, solve_gap
 from effosc.model import OscillatorSpec, Phase, level_factors
 
@@ -108,6 +108,14 @@ def test_ssb_solver_respects_critical_coupling():
     with pytest.raises(NoPhysicalRoot) as err:
         solve_gap(OscillatorSpec(4, -1.0, 1.01 * lam_c), 0.5, Phase.SPONTANEOUSLY_BROKEN)
     assert "critical" in str(err.value)
+
+
+def test_overflowing_root_raises():
+    # the quartic frequency overflows from lam ~ 1e155 on; 1e150 is still finite
+    assert math.isfinite(solve_gap(OscillatorSpec(4, 1.0, 1e150), 0.5, Phase.SYMMETRY_RESTORED))
+    for lam in (1e155, 1e200, 1e300):
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_gap(OscillatorSpec(4, 1.0, lam), 0.5, Phase.SYMMETRY_RESTORED)
 
 
 def test_ssb_frequency_frozen_value():

@@ -24,6 +24,15 @@ GOLDEN = {
     "ipt-quartic-aho.json": [
         "ipt", "--kind", "quartic-aho", "--lambda", "0.1", "--levels", "0..2",
         "--order", "4"],
+    # large-n and higher-k series: the windowed basis must reproduce the dense one
+    "spectrum-quartic-aho-order4-large-n.json": [
+        "spectrum", "--kind", "quartic-aho", "--lambda", "0.1", "--levels", "400,2000",
+        "--order", "4"],
+    "ipt-sextic-aho.json": [
+        "ipt", "--kind", "sextic-aho", "--order", "4", "--lambda", "0.1,1,10",
+        "--levels", "0..20"],
+    "ipt-octic-aho.json": [
+        "ipt", "--kind", "octic-aho", "--order", "4", "--lambda", "0.1,1", "--levels", "0..10"],
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from effosc.errors import SSBUnsupported
 from effosc.ipt import (
     TruncationWarning,
+    _rs_run,
     ipt_energy,
     perturbation_matrix,
     position_power_matrix,
@@ -213,3 +214,65 @@ def test_displaced_expansion_rejected():
     # same well above the phase boundary expands fine (symmetric solution)
     series = rs_corrections(OscillatorSpec(4, -1.0, 0.2), 0, max_order=2)
     assert series.corrections[1] < 0.0
+
+
+def test_position_matrix_window_matches_full_block():
+    # a block built on its own, padded k states each side, carries the same
+    # elements as that block of the matrix built from state 0
+    for k in range(1, 9):
+        for w in (0.7, 2.3):
+            full = position_power_matrix(k, w, 90)
+            for start in (0, 1, k - 1, k, k + 3, 37, 60):
+                dim = min(3 * k + 5, 90 - start)
+                block = position_power_matrix(k, w, dim, start)
+                want = full[start:start + dim, start:start + dim]
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(block - want)) <= 1e-14 * scale, (k, w, start)
+    with pytest.raises(ValueError):
+        position_power_matrix(4, 1.0, 5, -1)
+
+
+def test_windowed_recursion_matches_dense_sums_at_high_level():
+    # the recursion runs on the 6k+1 states around n; the explicit sums and
+    # the dense recursion build the basis from state 0
+    n = 400
+    spec = OscillatorSpec(4, 1.0, 0.1)
+    series = rs_corrections(spec, n, max_order=3)
+    assert series.basis_dim == n + 13
+    assert series.corrections[1] == pytest.approx(second_order_sum(spec, n), rel=1e-12)
+    assert series.corrections[2] == pytest.approx(third_order_sum(spec, n), rel=1e-12)
+    # every well and coupling against the dense recursion (the explicit
+    # third-order double sum itself drifts from the dense recursion by up to
+    # 3e-11 relative at n = 400, e.g. quartic lam = 1, so it is no finer check)
+    for k in (4, 6, 8):
+        for lam in (0.1, 1.0, 10.0):
+            spec = OscillatorSpec(k, 1.0, lam)
+            sol = level_solution(spec, n)
+            dense = _rs_run(perturbation_matrix(spec, n, n + 3 * k + 1), sol.w, n, 4)
+            got = rs_corrections(spec, n, max_order=4).corrections
+            assert got[1] == pytest.approx(second_order_sum(spec, n), rel=1e-12), (k, lam)
+            for order in (1, 2, 3):
+                assert got[order] == pytest.approx(dense[order], rel=1e-13), (k, lam, order)
+
+
+def test_series_blocks_do_not_grow_with_level_or_dim(monkeypatch):
+    import effosc.ipt as ipt_module
+
+    built = []
+    original = ipt_module.position_power_matrix
+
+    def spy(k, w, dim, start=0):
+        built.append(dim)
+        return original(k, w, dim, start)
+
+    monkeypatch.setattr(ipt_module, "position_power_matrix", spy)
+    for k in (4, 6, 8):
+        spec = OscillatorSpec(k, 1.0, 0.1)
+        for n, dim in ((10**5, None), (10**6, None), (1000, 200000)):
+            built.clear()
+            series = rs_corrections(spec, n, max_order=4, dim=dim)
+            assert series.basis_dim == (dim or n + 3 * k + 1)
+            assert all(math.isfinite(c) for c in series.partial_sums)
+            # two builds for the series on the 6k+1 states |m - n| <= 3k,
+            # two for the enlargement check on that window grown by k
+            assert built == [6 * k + 1] * 2 + [7 * k + 1] * 2, built
