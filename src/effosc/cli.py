@@ -66,15 +66,47 @@ def _fmt(value) -> str:
     return format(float(value), ".10g")
 
 
-def _round10(obj):
-    """Round every float to 10 significant digits (half-even) recursively."""
-    if isinstance(obj, float):
-        return float(format(obj, ".10g"))
-    if isinstance(obj, dict):
-        return {k: _round10(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round10(v) for v in obj]
-    return obj
+def _round10(value: float) -> float:
+    """Round a float to 10 significant digits (half-even)."""
+    return float(format(value, ".10g"))
+
+
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` with every float rounded by `_round10`.
+
+    One pass over the payload with json's own scalar encodings; `indent` is
+    the newline and indentation of the value's own depth.
+    """
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        value = _round10(value)
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_json_str(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _check_cells(count) -> None:
@@ -176,8 +208,7 @@ def _emit(text: str, out_path) -> None:
 
 def _render(meta: dict, records: list[dict], columns: list[str], fmt: str) -> str:
     if fmt == "json":
-        payload = {"meta": _round10(meta), "records": [_round10(r) for r in records]}
-        return json.dumps(payload, indent=2) + "\n"
+        return _json({"meta": meta, "records": records}) + "\n"
     lines = [",".join(columns)]
     for rec in records:
         cells = []

@@ -118,7 +118,10 @@ def _poly_derivative(coeffs):
 
 
 def _refine_bracket(coeffs, dcoeffs, a, b, fa, fb):
-    """Newton iteration safeguarded by the sign-change bracket [a, b]."""
+    """Newton iteration safeguarded by the sign-change bracket [a, b].
+
+    Finishes by bisection when Newton has not converged in 200 steps.
+    """
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -139,7 +142,18 @@ def _refine_bracket(coeffs, dcoeffs, a, b, fa, fb):
         if abs(tn - t) <= 5e-16 * max(1.0, abs(tn)):
             return tn
         t = tn
-    return t
+    # Newton budget spent (a start far above a huge root): bisect the bracket
+    while True:
+        t = 0.5 * (a + b)
+        if not (a < t < b):
+            return t
+        ft = _poly_eval(coeffs, t)
+        if ft == 0.0:
+            return t
+        if (ft < 0.0) == (fa < 0.0):
+            a = t
+        else:
+            b = t
 
 
 def _real_roots(coeffs):

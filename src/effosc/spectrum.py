@@ -118,16 +118,40 @@ def ssb_displacement(spec: OscillatorSpec, x: float, w: float) -> float:
                 "no displaced quartic solution at w=%g (s² would be %g)" % (w, s_sq)
             )
         return s_sq
-    # sextic: u² + (10x/w) u + [g/(6 lam) + 15(1+4x²)/(8w²)] = 0, u = s²
+    u = _sextic_s_sq(w, x, g, lam)
+    if math.isnan(u):
+        raise NoSSBSolution("displaced sextic stationarity roots are negative at w=%g" % w)
+    return float(u)
+
+
+def _sextic_s_sq(w, x, g, lam):
+    """Larger root u = s² of the sextic stationarity quadratic, elementwise in w.
+
+        u² + (10x/w) u + [g/(6 lam) + 15(1+4x²)/(8w²)] = 0
+
+    NaN where that root is negative (below the frequency w_min of
+    `sextic_ssb_solutions`).  For g < 0 the discriminant
+    (70x² - 15/2)/w² + 2|g|/(3 lam) is positive, so the root is always real.
+    """
     b = 10.0 * x / w
     q = g / (6.0 * lam) + 15.0 * (1.0 + 4.0 * x * x) / (8.0 * w * w)
-    disc = b * b - 4.0 * q
-    if disc < 0.0:
-        raise NoSSBSolution("displaced sextic stationarity condition has no real root at w=%g" % w)
-    u = 0.5 * (-b + math.sqrt(disc))
-    if u < 0.0:
-        raise NoSSBSolution("displaced sextic stationarity roots are negative at w=%g" % w)
-    return u
+    u = 0.5 * (-b + np.sqrt(b * b - 4.0 * q))
+    return np.where(u >= 0.0, u, np.nan)
+
+
+def _sextic_ssb_residual(w, x, g, lam):
+    """Monic form of w² = g + 2 lam A(s(w), w) with s² = u(w) substituted.
+
+    Zero at a displaced sextic solution, NaN where no displacement exists;
+    works on a float and elementwise on an array of frequencies.
+    """
+    u = _sextic_s_sq(w, x, g, lam)
+    return (
+        w**4
+        - w * w * (g + 30.0 * lam * u * u)
+        - 45.0 * lam * u * w * (1.0 + 4.0 * x * x) / (2.0 * x)
+        - (15.0 * lam / 4.0) * (5.0 + 4.0 * x * x)
+    )
 
 
 def _assemble(spec: OscillatorSpec, n: int, phase: Phase, w: float, s_sq: float) -> EffectiveSolution:
@@ -160,50 +184,25 @@ def sextic_ssb_solutions(spec: OscillatorSpec, n: int):
     # below w_min the stationarity quadratic has no non-negative root
     w_min = math.sqrt(45.0 * lam * (1.0 + 4.0 * x * x) / (4.0 * G))
 
-    def u_of(w):
-        b = 10.0 * x / w
-        q = g / (6.0 * lam) + 15.0 * (1.0 + 4.0 * x * x) / (8.0 * w * w)
-        disc = b * b - 4.0 * q
-        if disc < 0.0:
-            return None
-        u = 0.5 * (-b + math.sqrt(disc))
-        return u if u >= 0.0 else None
-
-    def freq_residual(w):
-        # monic form of w² = g + 2 lam A(s(w), w):  zero at a nested solution
-        u = u_of(w)
-        if u is None:
-            return None
-        return (
-            w**4
-            - w * w * (g + 30.0 * lam * u * u)
-            - 45.0 * lam * u * w * (1.0 + 4.0 * x * x) / (2.0 * x)
-            - (15.0 * lam / 4.0) * (5.0 + 4.0 * x * x)
-        )
-
     w_sr = solve_gap(spec, x, Phase.SYMMETRY_RESTORED)
     upper = 2.0 * max(2.0 * math.sqrt(G), w_min, w_sr, 1.0)
     for _ in range(60):
-        r = freq_residual(upper)
-        if r is not None and r > 0.0 and upper > w_min * 4.0:
+        if _sextic_ssb_residual(upper, x, g, lam) > 0.0 and upper > w_min * 4.0:
             break
         upper *= 2.0
-    lo = w_min * (1.0 + 1e-12)
-    grid = np.linspace(lo, upper, 512)
-    vals = [freq_residual(w) for w in grid]
+    grid = np.linspace(w_min * (1.0 + 1e-12), upper, 512)
+    vals = _sextic_ssb_residual(grid, x, g, lam)
+    a, b = vals[:-1], vals[1:]
+    cells = np.flatnonzero(((a == 0.0) | (a * b < 0.0)) & ~np.isnan(b))
     solutions = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a is None or b is None:
-            continue
-        if a == 0.0:
+    for i in cells:
+        if a[i] == 0.0:
             root = grid[i]
-        elif a * b < 0.0:
-            root = brentq(freq_residual, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16)
         else:
-            continue
-        u = u_of(root)
-        if u is None or u <= 1e-12 * (1.0 + abs(g) / lam):
+            root = brentq(_sextic_ssb_residual, grid[i], grid[i + 1], args=(x, g, lam),
+                          xtol=1e-14, rtol=8.9e-16)
+        u = _sextic_s_sq(root, x, g, lam)
+        if not u > 1e-12 * (1.0 + abs(g) / lam):
             continue  # degenerate with the undisplaced family
         if solutions and any(abs(root - s.w) <= 1e-8 * (1.0 + root) for s in solutions):
             continue

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from effosc.cli import MAX_CELLS, _fmt, _round10, run
+from effosc.cli import MAX_CELLS, _fmt, _json, _round10, run
 from effosc.model import OscillatorSpec
 from effosc.spectrum import level_solution, well_referenced_energy
 
@@ -83,6 +83,18 @@ def test_exit_code_numerical_failure(capsys):
     assert code == 3
     assert out == ""
     assert "critical" in err
+
+
+def test_forced_sextic_ssb_without_branch_is_numerical_failure(capsys):
+    # level 1 of this well binds no displaced state
+    code, out, err = invoke(
+        capsys,
+        ["spectrum", "--kind", "sextic-dwo", "--g", "-3", "--lambda", "0.02", "--levels", "0..1",
+         "--phase", "ssb"],
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "effosc: numerical failure: no broken-symmetry branch for k=6, g=-3.0, lambda=0.02, n=1\n")
 
 
 def test_phase_flag(capsys):
@@ -250,6 +262,47 @@ def test_round10_idempotent(x):
     once = _round10(x)
     assert _round10(once) == once
     assert _fmt(once) == _fmt(x)
+
+
+def _round_floats(obj):
+    """Reference rounding: every float to 10 significant digits, containers rebuilt."""
+    if isinstance(obj, float):
+        return float(format(obj, ".10g"))
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300,
+                     -1e300, 0.0, -0.0, 2.319545786e-174]),
+)
+_json_payloads = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_payloads)
+def test_json_writer_matches_json_dumps(payload):
+    assert _json(payload) == json.dumps(_round_floats(payload), indent=2)
+
+
+def test_octic_huge_coupling_frequency(capsys):
+    code, out, _ = invoke(capsys, ["spectrum", "--kind", "octic-aho", "--lambda", "1e30",
+                                   "--format", "csv"])
+    assert code == 0
+    assert out.split("\n")[1].split(",")[6] == "2536517.482"
 
 
 @pytest.mark.parametrize("argv", [

@@ -118,6 +118,21 @@ def test_overflowing_root_raises():
             solve_gap(OscillatorSpec(4, 1.0, lam), 0.5, Phase.SYMMETRY_RESTORED)
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_octic_root_at_huge_coupling(n):
+    # Newton from the bracket midpoint runs out of steps from lam ~ 1e23 on;
+    # bisection must finish the root instead of returning the last iterate
+    x = level_factors(n).x
+    for lam in (1e23, 1e30, 1e100, 1e300):
+        spec = OscillatorSpec(8, 1.0, lam)
+        w = solve_gap(spec, x, Phase.SYMMETRY_RESTORED)
+        coeffs = gap_polynomial(spec, x, Phase.SYMMETRY_RESTORED).coefficients
+        p = math.fsum(c * w**i for i, c in enumerate(coeffs))
+        dp = math.fsum(i * c * w ** (i - 1) for i, c in enumerate(coeffs) if i)
+        assert abs(p) <= 1e-14 * abs(w * dp)
+        assert w == pytest.approx((35.0 * level_factors(n).h * lam) ** 0.2, rel=1e-9)
+
+
 def test_ssb_frequency_frozen_value():
     w = solve_gap(OscillatorSpec(4, -1.0, 0.02), 0.5, Phase.SPONTANEOUSLY_BROKEN)
     assert w == pytest.approx(1.349891839256335, abs=1e-12)

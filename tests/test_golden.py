@@ -33,6 +33,15 @@ GOLDEN = {
         "--levels", "0..20"],
     "ipt-octic-aho.json": [
         "ipt", "--kind", "octic-aho", "--order", "4", "--lambda", "0.1,1", "--levels", "0..10"],
+    # sextic double well: the nested displaced scan, competing and forced
+    "spectrum-sextic-dwo.json": [
+        "spectrum", "--kind", "sextic-dwo", "--g", "-3", "--lambda", "0.005,0.01,0.02,0.05,0.1",
+        "--levels", "0..9"],
+    "spectrum-sextic-dwo-ssb.json": [
+        "spectrum", "--kind", "sextic-dwo", "--g", "-3", "--lambda", "0.005,0.01,0.02,0.05",
+        "--levels", "0", "--phase", "ssb"],
+    # JSON writer: a list in meta, floats down to 1e-174
+    "susy-wavefunction.json": ["susy", "wavefunction", "--b", "100", "--grid", "-2:2:0.5"],
 }
 
 

@@ -1,17 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_tables as ref
-from effosc.errors import NoPhysicalRoot
+from effosc.errors import NoPhysicalRoot, NoSSBSolution
 from effosc.gap import critical_coupling
 from effosc.model import OscillatorSpec, Phase, hamiltonian_average, level_factors
 from effosc.spectrum import (
+    _sextic_ssb_residual,
     cea_residual,
     level_solution,
     lo_energy_closed_form,
     sextic_ssb_solutions,
+    ssb_displacement,
     well_referenced_energy,
 )
 
@@ -144,6 +147,27 @@ def test_sextic_displaced_solutions_frozen():
         sextic_ssb_solutions(OscillatorSpec(4, -1.0, 0.02), 0)
     with pytest.raises(ValueError):
         sextic_ssb_solutions(OscillatorSpec(6, 1.0, 0.5), 0)
+
+
+def test_sextic_residual_on_array_matches_scalar_calls():
+    # the displaced scan evaluates the residual on a whole grid at once and
+    # hands the same function to brentq point by point
+    for lam, n in ((0.005, 0), (0.05, 3), (0.5, 9)):
+        spec = OscillatorSpec(6, -3.0, lam)
+        x = level_factors(n).x
+        w_min = math.sqrt(45.0 * lam * (1.0 + 4.0 * x * x) / (4.0 * 3.0))
+        grid = np.linspace(0.2 * w_min, 5.0 * w_min, 301)
+        vals = _sextic_ssb_residual(grid, x, spec.g, lam)
+        for w, v in zip(grid, vals):
+            one = _sextic_ssb_residual(float(w), x, spec.g, lam)
+            try:
+                s_sq = ssb_displacement(spec, x, float(w))
+            except NoSSBSolution:
+                assert math.isnan(v) and math.isnan(one)  # no displacement below w_min
+                continue
+            assert s_sq >= 0.0
+            assert v == pytest.approx(one, rel=1e-14, abs=1e-14 * w**4)
+        assert np.isnan(vals).any() and not np.isnan(vals).all()
 
 
 # Ground level of the sextic double well at g = -3 where the displaced
