@@ -17,7 +17,6 @@ from .gap import (
     GapProblem,
     critical_coupling,
     gap_polynomial,
-    positive_real_roots,
     solve_gap,
 )
 from .ipt import (
@@ -75,8 +74,7 @@ __all__ = [
     "OracleConvergenceError",
     "OscillatorSpec", "Phase", "LevelFactors", "level_factors", "moment",
     "hamiltonian_average",
-    "GapProblem", "gap_polynomial", "critical_coupling", "positive_real_roots",
-    "solve_gap",
+    "GapProblem", "gap_polynomial", "critical_coupling", "solve_gap",
     "EffectiveSolution", "ssb_displacement", "potential_params",
     "level_solution", "lo_energy_closed_form", "well_referenced_energy",
     "cea_residual", "sextic_ssb_solutions",

@@ -8,14 +8,14 @@ level x = n + 1/2, a low-degree polynomial condition in w:
     sextic, undisplaced:    w**4 - g w**2 - (15 lam/4)(5+4x²)  = 0
     octic, undisplaced:     w**5 - g w**3 - 35 lam h(x)        = 0
 
-with the level factors f, p, h of `model.level_factors`.  The displaced
-sextic condition does not reduce to a fixed polynomial (the displacement
-cannot be eliminated); it is handled by the nested solver in `spectrum`.
+with the level factors f, p, h of `model`.  The displaced sextic condition
+does not reduce to a fixed polynomial (the displacement cannot be
+eliminated); it is handled by the nested solver in `spectrum`.
 
-Closed forms are used where the cubic/biquadratic structure gives them,
-always followed by a Newton polish against the exact polynomial; the
-generic `positive_real_roots` bracketing solver provides the independent
-route and covers the quintic.
+The cubic and biquadratic conditions are solved in closed form, followed by
+a Newton polish against the exact polynomial.  The octic quintic has
+exactly one positive root (g >= 0, one sign change), which a Newton
+iteration safeguarded by its sign-change bracket finds directly.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import NoPhysicalRoot, SolverError
-from .model import OscillatorSpec, Phase
+from .model import OscillatorSpec, Phase, factor_f, factor_h, factor_p
 
 __all__ = [
     "GapProblem",
     "gap_polynomial",
     "solve_gap",
     "critical_coupling",
-    "positive_real_roots",
 ]
 
 
@@ -49,18 +48,6 @@ class GapProblem:
     coefficients: tuple
 
 
-def _fx(x: float) -> float:
-    return x + 1.0 / (4.0 * x)
-
-
-def _px(x: float) -> float:
-    return 5.0 * x - 1.0 / (4.0 * x)
-
-
-def _hx(x: float) -> float:
-    return x**3 + 3.5 * x + 9.0 / (16.0 * x)
-
-
 def gap_polynomial(spec: OscillatorSpec, x: float, phase: Phase) -> GapProblem:
     """Coefficient vector of the frequency condition for (spec, x, phase)."""
     if not (x > 0.0):
@@ -68,11 +55,11 @@ def gap_polynomial(spec: OscillatorSpec, x: float, phase: Phase) -> GapProblem:
     g, lam, k = spec.g, spec.lam, spec.k
     if phase is Phase.SYMMETRY_RESTORED:
         if k == 4:
-            coeffs = (-6.0 * lam * _fx(x), -g, 0.0, 1.0)
+            coeffs = (-6.0 * lam * factor_f(x), -g, 0.0, 1.0)
         elif k == 6:
             coeffs = (-(15.0 * lam / 4.0) * (5.0 + 4.0 * x * x), 0.0, -g, 0.0, 1.0)
         else:
-            coeffs = (-35.0 * lam * _hx(x), 0.0, 0.0, -g, 0.0, 1.0)
+            coeffs = (-35.0 * lam * factor_h(x), 0.0, 0.0, -g, 0.0, 1.0)
     elif phase is Phase.SPONTANEOUSLY_BROKEN:
         if g >= 0.0:
             raise ValueError("a displaced (broken-symmetry) solution requires g < 0")
@@ -81,7 +68,7 @@ def gap_polynomial(spec: OscillatorSpec, x: float, phase: Phase) -> GapProblem:
                 "no fixed-polynomial frequency condition for the displaced k=%d well; "
                 "use the nested displaced solver in `spectrum`" % k
             )
-        coeffs = (6.0 * lam * _px(x), 2.0 * g, 0.0, 1.0)
+        coeffs = (6.0 * lam * factor_p(x), 2.0 * g, 0.0, 1.0)
     else:
         raise ValueError("unknown phase %r" % (phase,))
     return GapProblem(spec=spec, x=x, phase=phase, coefficients=coeffs)
@@ -99,11 +86,11 @@ def critical_coupling(g: float, x: float) -> float:
         raise ValueError("critical coupling is defined for a positive well magnitude g, got %r" % (g,))
     if not (x > 0.0):
         raise ValueError("level factor x must be positive, got %r" % (x,))
-    return (2.0 * g / 3.0) ** 1.5 / (3.0 * _px(x))
+    return (2.0 * g / 3.0) ** 1.5 / (3.0 * factor_p(x))
 
 
 # ---------------------------------------------------------------------------
-# generic real-root machinery (ascending coefficients, degree <= 5)
+# polynomial evaluation and bracketed Newton (ascending coefficients)
 
 
 def _poly_eval(coeffs, t: float) -> float:
@@ -117,14 +104,18 @@ def _poly_derivative(coeffs):
     return [i * coeffs[i] for i in range(1, len(coeffs))]
 
 
-def _refine_bracket(coeffs, dcoeffs, a, b, fa, fb):
-    """Newton iteration safeguarded by the sign-change bracket [a, b].
+def _refine_bracket(coeffs, a, b):
+    """Root of the polynomial by Newton, safeguarded by the sign-change bracket [a, b].
 
-    Finishes by bisection when Newton has not converged in 200 steps.
+    Stops when a step moves the iterate by at most 5e-16 of its size, so a
+    root far below 1 is found to full relative precision too.  Finishes by
+    bisection when Newton has not converged in 200 steps.
     """
+    dcoeffs = _poly_derivative(coeffs)
+    fa = _poly_eval(coeffs, a)
     if fa == 0.0:
         return a
-    if fb == 0.0:
+    if _poly_eval(coeffs, b) == 0.0:
         return b
     t = 0.5 * (a + b)
     for _ in range(200):
@@ -134,12 +125,12 @@ def _refine_bracket(coeffs, dcoeffs, a, b, fa, fb):
         if (ft < 0.0) == (fa < 0.0):
             a, fa = t, ft
         else:
-            b, fb = t, ft
+            b = t
         dft = _poly_eval(dcoeffs, t)
         tn = t - ft / dft if dft != 0.0 else 0.5 * (a + b)
         if not (a < tn < b):
             tn = 0.5 * (a + b)
-        if abs(tn - t) <= 5e-16 * max(1.0, abs(tn)):
+        if abs(tn - t) <= 5e-16 * abs(tn):
             return tn
         t = tn
     # Newton budget spent (a start far above a huge root): bisect the bracket
@@ -154,61 +145,6 @@ def _refine_bracket(coeffs, dcoeffs, a, b, fa, fb):
             a = t
         else:
             b = t
-
-
-def _real_roots(coeffs):
-    """All real roots, via recursive subdivision at the derivative's roots."""
-    deg = len(coeffs) - 1
-    while deg > 0 and coeffs[deg] == 0.0:
-        deg -= 1
-    coeffs = list(coeffs[: deg + 1])
-    if deg < 1:
-        return []
-    lead = coeffs[-1]
-    cn = [a / lead for a in coeffs]
-    if deg == 1:
-        return [-cn[0]]
-    bound = 1.0 + max(abs(a) for a in cn[:-1])
-    dcn = _poly_derivative(cn)
-    crit = sorted(t for t in _real_roots(dcn) if -bound < t < bound)
-    pts = [-bound] + crit + [bound]
-    roots = []
-    vals = [_poly_eval(cn, t) for t in pts]
-    for i in range(len(pts) - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-            roots.append(_refine_bracket(cn, dcn, pts[i], pts[i + 1], vals[i], vals[i + 1]))
-    if vals[-1] == 0.0:
-        roots.append(pts[-1])
-    # tangency (multiple-root) detection at interior critical points: accept a
-    # critical point as a root when the residual there is at evaluation noise
-    for t in crit:
-        v = _poly_eval(cn, t)
-        scale = sum(abs(a) * abs(t) ** i for i, a in enumerate(cn))
-        if abs(v) <= 1e-11 * (1.0 + scale):
-            roots.append(t)
-    roots.sort()
-    merged = []
-    for t in roots:
-        if merged and abs(t - merged[-1]) <= 1e-9 * (1.0 + abs(t)):
-            continue
-        merged.append(t)
-    return merged
-
-
-def positive_real_roots(coefficients):
-    """Sorted positive real roots of an ascending-coefficient polynomial.
-
-    Degree at most 5, nonzero leading coefficient.  Zero roots are factored
-    out first and are not reported (the physical frequency is positive).
-    """
-    coeffs = [float(a) for a in coefficients]
-    if not coeffs or coeffs[-1] == 0.0:
-        raise ValueError("leading coefficient must be nonzero")
-    if len(coeffs) - 1 > 5:
-        raise ValueError("degree above 5 is not supported")
-    while len(coeffs) > 1 and coeffs[0] == 0.0:
-        coeffs.pop(0)  # root at w = 0, outside the physical domain
-    return [t for t in _real_roots(coeffs) if t > 1e-300]
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +200,12 @@ def solve_gap(spec: OscillatorSpec, x: float, phase: Phase) -> float:
     """Positive frequency solving the (spec, x, phase) self-consistency condition.
 
     Closed forms (polished by Newton on the exact polynomial) for the cubic
-    and biquadratic families; bracketed root-finding for the octic quintic.
-    Raises NoPhysicalRoot when the displaced quartic branch is requested
-    above its critical coupling, and SolverError when the root overflows.
+    and biquadratic families.  The octic quintic's one positive root lies
+    above the positive critical point sqrt(3g/5), where the polynomial is
+    negative, and below the Cauchy bound 1 + max(c, g); bracketed Newton
+    solves it on that interval.  Raises NoPhysicalRoot when the displaced
+    quartic branch is requested above its critical coupling, and SolverError
+    when the root overflows.
     """
     g, lam, k = spec.g, spec.lam, spec.k
     if lam == 0.0:
@@ -286,10 +225,8 @@ def solve_gap(spec: OscillatorSpec, x: float, phase: Phase) -> float:
         wsq = 0.5 * (g + disc) if g >= 0.0 else 2.0 * c / (disc - g)
         w = _newton_polish(problem.coefficients, math.sqrt(wsq))
     else:
-        roots = positive_real_roots(problem.coefficients)
-        if not roots:
-            raise NoPhysicalRoot(lam, float("nan"))
-        w = roots[-1]
+        coeffs = problem.coefficients
+        w = _refine_bracket(coeffs, math.sqrt(0.6 * g), 1.0 + max(-coeffs[0], g))
     if not math.isfinite(w):
         raise SolverError("non-finite frequency %r at coupling %g, x = %g" % (w, lam, x))
     return w

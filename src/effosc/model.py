@@ -25,6 +25,9 @@ __all__ = [
     "LevelFactors",
     "Phase",
     "level_factors",
+    "factor_f",
+    "factor_p",
+    "factor_h",
     "moment",
     "hamiltonian_average",
 ]
@@ -63,13 +66,30 @@ class OscillatorSpec:
             raise ValueError("double-well quadratic coefficient (g < 0) is only supported for k in {4, 6}")
 
 
+def factor_f(x: float) -> float:
+    """Quartic level factor f(x) = x + 1/(4x)."""
+    return x + 1.0 / (4.0 * x)
+
+
+def factor_p(x: float) -> float:
+    """Broken-quartic level factor p(x) = 5x - 1/(4x)."""
+    return 5.0 * x - 1.0 / (4.0 * x)
+
+
+def factor_h(x: float) -> float:
+    """Octic level factor h(x) = x³ + (7/2)x + 9/(16x)."""
+    return x**3 + 3.5 * x + 9.0 / (16.0 * x)
+
+
 @dataclass(frozen=True)
 class LevelFactors:
     """Per-level combinations that recur in the gap equations.
 
     x = n + 1/2; f, p and h are the level-dependent prefactors of the
     quartic, broken-quartic and octic frequency conditions.  All three are
-    strictly increasing in n.
+    strictly increasing in n, and are evaluated by `factor_f`, `factor_p`
+    and `factor_h`, the one definition every solver and moment shares
+    (h with its last term as 9/(16x)).
     """
 
     n: int
@@ -85,14 +105,7 @@ def level_factors(n: int) -> LevelFactors:
         raise ValueError("level index must be a non-negative integer, got %r" % (n,))
     n = int(n)
     x = n + 0.5
-    inv4x = 1.0 / (4.0 * x)
-    return LevelFactors(
-        n=n,
-        x=x,
-        f=x + inv4x,
-        p=5.0 * x - inv4x,
-        h=x**3 + 3.5 * x + 2.25 * inv4x,  # x^3 + (7/2)x + 9/(16x)
-    )
+    return LevelFactors(n=n, x=x, f=factor_f(x), p=factor_p(x), h=factor_h(x))
 
 
 # Central moments <(f - s)^j> of the displaced oscillator eigenstate:
@@ -100,7 +113,7 @@ def level_factors(n: int) -> LevelFactors:
 #   <q^2> = x/w
 #   <q^4> = (3 + 12 x^2) / (8 w^2)
 #   <q^6> = (25 x + 20 x^3) / (8 w^3)
-#   <q^8> = 35 x (x^3 + 7x/2 + 9/(16x)) / (8 w^4)
+#   <q^8> = 35 x h(x) / (8 w^4)
 # The octic one reduces to <0|(b+b')^8|0>/(2w)^4 = 105/(2w)^4 at n = 0.
 
 
@@ -112,7 +125,7 @@ def _central_moment(j: int, w: float, x: float) -> float:
     if j == 6:
         return (25.0 * x + 20.0 * x**3) / (8.0 * w**3)
     if j == 8:
-        return 35.0 * x * (x**3 + 3.5 * x + 0.5625 / x) / (8.0 * w**4)
+        return 35.0 * x * factor_h(x) / (8.0 * w**4)
     raise ValueError("unsupported central moment order %r" % (j,))
 
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NoSSBSolution
-from .gap import critical_coupling, solve_gap
-from .model import OscillatorSpec, Phase, hamiltonian_average, level_factors, moment
+from .errors import NoPhysicalRoot, NoSSBSolution
+from .gap import solve_gap
+from .model import OscillatorSpec, Phase, factor_h, hamiltonian_average, level_factors, moment
 
 __all__ = [
     "EffectiveSolution",
@@ -79,8 +79,7 @@ def _effective_curvature_param(spec: OscillatorSpec, s: float, w: float, x: floa
         )
     if s != 0.0:
         raise ValueError("octic potential parameters are only defined for s = 0")
-    h = x**3 + 3.5 * x + 9.0 / (16.0 * x)
-    return 35.0 * h / (2.0 * w**3)
+    return 35.0 * factor_h(x) / (2.0 * w**3)
 
 
 def potential_params(spec: OscillatorSpec, s: float, w: float, x: float):
@@ -223,14 +222,13 @@ def level_solution(spec: OscillatorSpec, n: int) -> EffectiveSolution:
                             solve_gap(spec, x, Phase.SYMMETRY_RESTORED), 0.0)]
     if spec.g < 0.0 and spec.lam > 0.0:
         if spec.k == 4:
-            if spec.lam <= critical_coupling(-spec.g, x) * (1.0 + 1e-12):
+            try:
                 w_b = solve_gap(spec, x, Phase.SPONTANEOUSLY_BROKEN)
-                try:
-                    s_sq = ssb_displacement(spec, x, w_b)
-                except NoSSBSolution:
-                    pass
-                else:
-                    candidates.append(_assemble(spec, n, Phase.SPONTANEOUSLY_BROKEN, w_b, s_sq))
+                s_sq = ssb_displacement(spec, x, w_b)
+            except (NoPhysicalRoot, NoSSBSolution):
+                pass  # above the critical coupling, or no displacement there
+            else:
+                candidates.append(_assemble(spec, n, Phase.SPONTANEOUSLY_BROKEN, w_b, s_sq))
         else:
             candidates.extend(sextic_ssb_solutions(spec, n))
     return min(candidates, key=lambda sol: sol.E0)

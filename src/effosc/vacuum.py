@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gap import _newton_polish, _quartic_sr_root, solve_gap
+from .gap import solve_gap
 from .model import OscillatorSpec, Phase, hamiltonian_average
 
 __all__ = [
@@ -86,11 +86,10 @@ def effective_potential(lam: float, s: float, kind: str) -> float:
         return 0.5 + 3.0 * lam * (s * s + 0.25) + (0.5 * s * s + lam * s**4)
     if kind != "variational":
         raise ValueError("kind must be 'variational' or 'perturbative', got %r" % (kind,))
-    spec = OscillatorSpec(4, 1.0, lam)
-    curvature = 1.0 + 12.0 * lam * s * s
-    w = _quartic_sr_root(curvature, -6.0 * lam)
-    w = _newton_polish((-6.0 * lam, -curvature, 0.0, 1.0), w)
-    return hamiltonian_average(spec, s, w, 0.5)
+    # w³ - (1 + 12 lam s²) w - 6 lam = 0 is the ground-level quartic condition
+    # (f(1/2) = 1 exactly) with the displacement folded into the curvature
+    w = solve_gap(OscillatorSpec(4, 1.0 + 12.0 * lam * s * s, lam), 0.5, Phase.SYMMETRY_RESTORED)
+    return hamiltonian_average(OscillatorSpec(4, 1.0, lam), s, w, 0.5)
 
 
 def stability_gap(lam: float) -> float:

@@ -305,6 +305,15 @@ def test_octic_huge_coupling_frequency(capsys):
     assert out.split("\n")[1].split(",")[6] == "2536517.482"
 
 
+def test_octic_symmetric_well_tiny_coupling(capsys):
+    # w⁵ = 35 h lam at g = 0: a real root far below 1, not a missing branch
+    code, out, err = invoke(capsys, ["spectrum", "--kind", "octic-aho", "--g", "0",
+                                     "--lambda", "1e-60", "--format", "csv"])
+    assert (code, err) == (0, "")
+    w = float(out.split("\n")[1].split(",")[6])
+    assert w == pytest.approx((35.0 * 3.0 * 1e-60) ** 0.2, rel=1e-9)
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--kind", "quartic-aho", "--lambda", "inf"],
     ["spectrum", "--kind", "quartic-aho", "--lambda", "nan"],

@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from effosc.errors import NoPhysicalRoot, SolverError
-from effosc.gap import critical_coupling, gap_polynomial, positive_real_roots, solve_gap
+from effosc.gap import critical_coupling, gap_polynomial, solve_gap
 from effosc.model import OscillatorSpec, Phase, level_factors
 
 
@@ -90,10 +91,16 @@ def test_critical_coupling_value():
         critical_coupling(1.0, 0.0)
 
 
+def positive_real_roots(coeffs):
+    """Positive real roots of an ascending-coefficient polynomial, by np.roots."""
+    roots = np.roots(coeffs[::-1])
+    return sorted(r.real for r in roots if r.real > 0.0 and abs(r.imag) <= 1e-7 * abs(r))
+
+
 def test_critical_coupling_is_discriminant_boundary():
     # the displaced cubic keeps its positive real pair just below lam_c and
-    # loses it just above — the defining property, checked via the generic
-    # root finder rather than the closed form
+    # loses it just above — the defining property, checked via the companion
+    # matrix rather than the closed form
     lam_c = critical_coupling(1.0, 0.5)
     below = gap_polynomial(OscillatorSpec(4, -1.0, lam_c * (1.0 - 1e-6)), 0.5, Phase.SPONTANEOUSLY_BROKEN)
     above = gap_polynomial(OscillatorSpec(4, -1.0, lam_c * (1.0 + 1e-6)), 0.5, Phase.SPONTANEOUSLY_BROKEN)
@@ -138,36 +145,38 @@ def test_ssb_frequency_frozen_value():
     assert w == pytest.approx(1.349891839256335, abs=1e-12)
 
 
-def test_positive_real_roots_planted():
-    # (w-2)(w+3)(w^2+1) = w^4 + w^3 - 5 w^2 + w - 6
-    roots = positive_real_roots((-6.0, 1.0, -5.0, 1.0, 1.0))
-    assert len(roots) == 1
-    assert roots[0] == pytest.approx(2.0, rel=1e-12)
-    # (w-1)(w-4)(w+2) = w^3 - 3 w^2 - 6 w + 8
-    roots = positive_real_roots((8.0, -6.0, -3.0, 1.0))
-    assert [pytest.approx(1.0, rel=1e-10), pytest.approx(4.0, rel=1e-10)] == roots
-    # no positive roots
-    assert positive_real_roots((1.0, 1.0, 1.0)) == []
+def octic_residual_bound(coeffs, w):
+    """Exact |P(w)| and |w P'(w)| of the float coefficients at the float w."""
+    wq = Fraction(w)
+    p = sum(Fraction(c) * wq**i for i, c in enumerate(coeffs))
+    dp = sum(i * Fraction(c) * wq ** (i - 1) for i, c in enumerate(coeffs) if i)
+    return abs(p), abs(wq * dp)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=5))
-def test_positive_real_roots_against_companion_matrix(tail):
-    coeffs = tuple(tail) + (1.0,)
-    ref = np.roots(coeffs[::-1])
-    scale = max(1.0, max(abs(c) for c in coeffs))
-    # skip ill-conditioned cases: near-real complex pairs or clustered roots
-    near_real = np.abs(ref.imag) < 1e-2 * scale
-    truly_real = np.abs(ref.imag) <= 1e-9 * scale
-    if np.any(near_real & ~truly_real):
-        return
-    real = np.sort(ref.real[truly_real])
-    if real.size > 1 and np.min(np.diff(real)) < 1e-2:
-        return
-    if real.size and np.min(np.abs(real)) < 1e-6:
-        return  # sign of a near-zero root is ill-conditioned
-    want = [r for r in real if r > 0.0]
-    got = positive_real_roots(coeffs)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g == pytest.approx(w, rel=1e-6, abs=1e-6)
+@pytest.mark.parametrize("g", [0.0, 1e-6, 0.01, 0.3])
+def test_octic_root_for_shallow_wells(g):
+    # below g = 1 the root can sit far below 1 and next to the critical
+    # point 0, so it must be found to relative, not absolute, precision
+    for n in (0, 7):
+        x = level_factors(n).x
+        for lam in (1e-300, 1e-200, 1e-100, 1e-60, 1e-20, 1e-6, 1e-2, 1.0, 1e6):
+            spec = OscillatorSpec(8, g, lam)
+            w = solve_gap(spec, x, Phase.SYMMETRY_RESTORED)
+            p, wdp = octic_residual_bound(gap_polynomial(spec, x, Phase.SYMMETRY_RESTORED).coefficients, w)
+            assert w > 0.0 and p <= Fraction(1e-15) * wdp, (g, n, lam, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=st.floats(min_value=0.0, max_value=10.0),
+    log_lam=st.floats(min_value=-6.0, max_value=6.0),
+    n=st.integers(min_value=0, max_value=1000),
+)
+def test_octic_root_against_companion_matrix(g, log_lam, n):
+    # the quintic has exactly one positive root (one sign change); the
+    # bracketed solve must find the one np.roots finds
+    spec = OscillatorSpec(8, g, 10.0**log_lam)
+    x = level_factors(n).x
+    want = positive_real_roots(gap_polynomial(spec, x, Phase.SYMMETRY_RESTORED).coefficients)
+    assert len(want) == 1
+    assert solve_gap(spec, x, Phase.SYMMETRY_RESTORED) == pytest.approx(want[0], rel=1e-9)

@@ -42,6 +42,15 @@ GOLDEN = {
         "--levels", "0", "--phase", "ssb"],
     # JSON writer: a list in meta, floats down to 1e-174
     "susy-wavefunction.json": ["susy", "wavefunction", "--b", "100", "--grid", "-2:2:0.5"],
+    # octic root bits: the order-4 series prints the round-off first-order term
+    "spectrum-octic-aho-order4.json": [
+        "spectrum", "--kind", "octic-aho", "--g", "3", "--lambda", "0.01,0.1,1,100",
+        "--levels", "0..9", "--order", "4"],
+    # variational effective potential: the quartic root with an s-dressed curvature
+    "effective-potential.json": ["effective-potential", "--lambda", "0.1,1,10", "--grid", "-3:3:0.25"],
+    # quartic double well on both sides of the levels' critical couplings
+    "spectrum-quartic-dwo-critical.json": [
+        "spectrum", "--kind", "quartic-dwo", "--lambda", "0.01,0.05,0.09,0.2", "--levels", "0..5"],
 }
 
 
