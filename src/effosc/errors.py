@@ -30,7 +30,7 @@ class SSBUnsupported(SolverError):
 
 
 class OracleConvergenceError(SolverError):
-    """Basis-doubling diagonalization hit the dimension cap before converging.
+    """Basis-doubling diagonalization hit the dimension cap or the round-off floor.
 
     The partially converged spectrum (if any) is attached for diagnostics.
     """

@@ -210,13 +210,14 @@ def solve_gap(spec: OscillatorSpec, x: float, phase: Phase) -> float:
     g, lam, k = spec.g, spec.lam, spec.k
     if lam == 0.0:
         return math.sqrt(g)  # g > 0 enforced by OscillatorSpec
-    problem = gap_polynomial(spec, x, phase)  # validates (k, g) support
-    if phase is Phase.SPONTANEOUSLY_BROKEN:
-        G = -g
-        lam_c = critical_coupling(G, x)
+    if phase is Phase.SPONTANEOUSLY_BROKEN and k == 4 and g < 0.0:
+        # above the critical coupling there is no root: say so before building the polynomial
+        lam_c = critical_coupling(-g, x)
         if lam > lam_c * (1.0 + 1e-12):
             raise NoPhysicalRoot(lam, lam_c)
-        w = _newton_polish(problem.coefficients, _quartic_ssb_root(G, lam, lam_c))
+    problem = gap_polynomial(spec, x, phase)  # validates (k, g) support
+    if phase is Phase.SPONTANEOUSLY_BROKEN:
+        w = _newton_polish(problem.coefficients, _quartic_ssb_root(-g, lam, lam_c))
     elif k == 4:
         w = _newton_polish(problem.coefficients, _quartic_sr_root(g, problem.coefficients[0]))
     elif k == 6:

@@ -8,9 +8,15 @@ monotonically as the basis grows, so doubling the basis until the levels
 stop moving gives controlled "exact" values to compare everything against.
 
 The basis frequency only affects the convergence rate, not the limit; by
-default it is warm-started from the level-0 effective frequency.  All our
-Hamiltonians are even in f, so the basis splits into parity blocks, which
-halves the bandwidth and cleanly separates near-degenerate well doublets.
+default it is warm-started from the level-0 effective frequency.  Doubling
+stops helping once the truncation error falls below the round-off floor
+~eps*||H||, which grows like dim**(k/2): when the movement stops shrinking,
+the default basis is moved once to the effective frequency of the middle
+requested level (the optimally scaled basis of Banerjee et al., Proc. R.
+Soc. A 360, 575 (1978)), which resolves the high octic levels at a size
+where that floor is still below the tolerance.  All our Hamiltonians are
+even in f, so the basis splits into parity blocks, which halves the
+bandwidth and cleanly separates near-degenerate well doublets.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OracleSpectrum:
-    """Converged eigenvalues with their last basis-doubling movement."""
+    """Converged eigenvalues, their last basis-doubling movement and the basis used."""
 
     spec: OscillatorSpec
     basis_w: float
@@ -138,44 +144,69 @@ def exact_levels(
 
     Starts from 4*(n_max+1) basis states and doubles until every retained
     level moves by less than rel_tol (relative, floored at unit scale)
-    between consecutive sizes.  `dim_cap` bounds the parity-block size;
-    hitting it raises OracleConvergenceError carrying the last spectrum.
+    between consecutive sizes.
+
+    If the worst such movement does not shrink from one doubling to the
+    next, the round-off floor (~eps*||H||, growing like dim**(k/2)) has
+    been reached and more states cannot help.  A default basis, at level
+    0's frequency, is then moved once to level n_max // 2's frequency and
+    the doubling restarts from 4*(n_max+1) states.  An explicit `basis_w`,
+    or a basis already moved, raises OracleConvergenceError at the floor.
+
+    `dim_cap` bounds the parity-block size: a size whose even block would
+    exceed it is not built, and OracleConvergenceError is raised instead.
+    Both errors carry the last spectrum built, if there is one.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative, got %r" % (n_max,))
     if rel_tol < 1e-12:
         raise ValueError("rel_tol below 1e-12 is not resolvable by this solver")
-    if basis_w is None:
+    movable = basis_w is None
+    if movable:
         basis_w = level_solution(spec, 0).w
-    dim = 4 * (n_max + 1)
-    prev = None
-    est = None
+    start = 4 * (n_max + 1)
+    dim, prev, est, prev_worst = start, None, None, None
+
+    def spectrum(size, levels):
+        return OracleSpectrum(
+            spec=spec,
+            basis_w=float(basis_w),
+            dim=size,
+            eigenvalues=tuple(float(v) for v in levels),
+            convergence_estimate=tuple(float(v) for v in est) if est is not None else (),
+        )
+
+    def failure(reason, size, levels):
+        return OracleConvergenceError(
+            "eigenvalues %s (worst estimate %s)"
+            % (reason, "%.3g" % float(np.max(est)) if est is not None else "unknown"),
+            spectrum=spectrum(size, levels),
+        )
+
     while True:
+        if (dim + 1) // 2 > dim_cap:  # the even parity block would pass the cap
+            if prev is None:
+                raise OracleConvergenceError(
+                    "the %d-state starting basis exceeds the cap of %d states per parity block"
+                    % (dim, dim_cap)
+                )
+            raise failure("still moving at the %d-state cap" % (dim // 2), dim // 2, prev)
         levels = _parity_block_eigenvalues(
             _hamiltonian_diagonals(spec, basis_w, dim), dim, spec.k
         )[: n_max + 1]
         if prev is not None:
             est = np.abs(levels - prev)
-            if np.all(est < rel_tol * np.maximum(1.0, np.abs(levels))):
-                return OracleSpectrum(
-                    spec=spec,
-                    basis_w=float(basis_w),
-                    dim=dim,
-                    eigenvalues=tuple(float(v) for v in levels),
-                    convergence_estimate=tuple(float(v) for v in est),
-                )
+            scale = np.maximum(1.0, np.abs(levels))
+            if np.all(est < rel_tol * scale):
+                return spectrum(dim, levels)
+            worst = float(np.max(est / scale))
+            if prev_worst is not None and worst >= prev_worst:
+                if not movable:
+                    raise failure("stopped converging at the round-off floor, %d states" % dim,
+                                  dim, levels)
+                basis_w, movable = level_solution(spec, n_max // 2).w, False
+                dim, prev, est, prev_worst = start, None, None, None
+                continue
+            prev_worst = worst
         prev = levels
-        if dim > dim_cap:  # dim/2 per parity block has hit the cap
-            partial = OracleSpectrum(
-                spec=spec,
-                basis_w=float(basis_w),
-                dim=dim,
-                eigenvalues=tuple(float(v) for v in levels),
-                convergence_estimate=tuple(float(v) for v in est) if est is not None else (),
-            )
-            raise OracleConvergenceError(
-                "eigenvalues still moving at the %d-state cap (worst estimate %s)"
-                % (dim, "%.3g" % float(np.max(est)) if est is not None else "unknown"),
-                spectrum=partial,
-            )
         dim *= 2

@@ -582,3 +582,95 @@ def test_criterion_12_wavefunction_norms_overlap_and_emission(capsys):
     assert not failures, _report(
         "ground-amplitude normalization, shape-invariant overlap, emission", failures
     )
+
+
+def _even_block_eigenvalues_mp(spec, basis_w, size, digits):
+    """Eigenvalues of the even parity block of H at `digits` digits, with mpmath.
+
+    Built from the band alone: each column's f^k and f² elements come from
+    applying the ladder form of f to one basis state, so no dense power of
+    f is formed.  Independent of the float oracle's assembly.
+    """
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = digits
+    w = mp.mpf(basis_w)
+    unit = 1 / (2 * w)  # f = sqrt(unit) (a + a†)
+
+    def ladder_powers(j, power):
+        state, powers = {j: mp.mpf(1)}, {}
+        for p in range(1, power + 1):
+            nxt = {}
+            for i, c in state.items():
+                if i > 0:
+                    nxt[i - 1] = nxt.get(i - 1, 0) + c * mp.sqrt(i)
+                nxt[i + 1] = nxt.get(i + 1, 0) + c * mp.sqrt(i + 1)
+            state = powers[p] = nxt
+        return powers
+
+    half = spec.k // 2
+    h = mp.zeros(size, size)
+    for col in range(size):
+        j = 2 * col
+        powers = ladder_powers(j, spec.k)
+        for row in range(max(0, col - half), min(size, col + half + 1)):
+            i = 2 * row
+            elem = spec.lam * powers[spec.k].get(i, 0) * unit ** half
+            elem += mp.mpf(spec.g) / 2 * powers[2].get(i, 0) * unit
+            if i == j:  # p²/2 = -(w/4)(a - a†)²
+                elem += w / 2 * (j + mp.mpf(1) / 2)
+            elif abs(i - j) == 2:
+                elem -= w / 4 * mp.sqrt((max(i, j) - 1) * max(i, j))
+            h[row, col] = elem
+    return sorted(mp.eigsy(h, eigvals_only=True))
+
+
+# Worst leading-order deviation (E_LO - E_exact) / E_exact on the Table 5
+# grid: the ground level at lam = 200, pinned at full precision.
+T5_WORST_LO_DEVIATION = ((200.0, 0), 0.11969846400225512)
+
+
+def test_criterion_13_octic_lo_against_exact_grid_via_oracle(oracle):
+    t0 = time.perf_counter()
+    failures = []
+    worst_cell, worst_dev, worst_from_n2 = None, 0.0, 0.0
+    for lam in ref.T5_LO:
+        spec = OscillatorSpec(8, 1.0, lam)
+        spectrum = oracle(spec, 14)
+        for n in range(15):
+            exact = spectrum.eigenvalues[n]
+            est = spectrum.convergence_estimate[n]
+            if not est < 1e-10:
+                failures.append("lam=%g n=%d: oracle estimate %.3g not below 1e-10" % (lam, n, est))
+            dev = (level_solution(spec, n).E0 - exact) / exact
+            if n == 0 and dev < 0.0:
+                failures.append("lam=%g: leading-order ground level below the exact one" % lam)
+            if abs(dev) > abs(worst_dev):
+                worst_cell, worst_dev = (lam, n), dev
+            if n >= 2:
+                worst_from_n2 = max(worst_from_n2, abs(dev))
+    want_cell, want_dev = T5_WORST_LO_DEVIATION
+    if worst_cell != want_cell or abs(worst_dev - want_dev) > 1e-9:
+        failures.append("worst leading-order deviation drifted: %r at %r, pinned %r at %r"
+                        % (worst_dev, worst_cell, want_dev, want_cell))
+    # spot level lam=1, n=14 (the even block's 8th level) in 30-digit arithmetic;
+    # 80 even states leave a truncation error near 1e-25
+    spec = OscillatorSpec(8, 1.0, 1.0)
+    spectrum = oracle(spec, 14)
+    spot = _even_block_eigenvalues_mp(spec, spectrum.basis_w, 80, 30)[7]
+    spot_err = abs(spectrum.eigenvalues[14] - float(spot)) / float(spot)
+    if spot_err > 1e-12:
+        failures.append("lam=1 n=14: oracle %.17g vs 30-digit %s (relative %.2e)"
+                        % (spectrum.eigenvalues[14], spot, spot_err))
+    elapsed = time.perf_counter() - t0
+    if elapsed >= 30.0:
+        failures.append("runtime %.1f s exceeds the 30 s budget" % elapsed)
+    assert not failures, _report(
+        "octic single-well leading order against the converged oracle, Table 5 grid",
+        failures,
+        notes=["worst |E_LO/E_exact - 1| = %.4f at %r (ground levels, 4.8%%-12%%);"
+               % (abs(worst_dev), worst_cell),
+               "at n >= 2 it stays within %.4f" % worst_from_n2,
+               "30-digit spot level lam=1 n=14 agrees to %.2e relative" % spot_err],
+    )

@@ -120,3 +120,77 @@ def test_dimension_cap_raises_with_partial_spectrum():
     part = err.value.spectrum
     if part is not None:
         assert len(part.eigenvalues) == 41
+
+
+def _counting_blocks(monkeypatch):
+    import effosc.oracle as oracle_module
+
+    dims = []
+    real = oracle_module._parity_block_eigenvalues
+
+    def counted(diags, dim, k):
+        dims.append(dim)
+        return real(diags, dim, k)
+
+    monkeypatch.setattr(oracle_module, "_parity_block_eigenvalues", counted)
+    return dims
+
+
+def test_dimension_cap_bounds_the_parity_block(monkeypatch):
+    # quartic lam=100 converges at 656 states, whose even block has 328
+    spec = OscillatorSpec(4, 1.0, 100.0)
+    dims = _counting_blocks(monkeypatch)
+    with pytest.raises(OracleConvergenceError) as err:
+        exact_levels(spec, 40, dim_cap=81)  # the 164-state start has blocks of 82
+    assert err.value.spectrum is None and dims == []
+    assert exact_levels(spec, 40, dim_cap=328).dim == 656
+    with pytest.raises(OracleConvergenceError) as err:
+        exact_levels(spec, 40, dim_cap=327)
+    part = err.value.spectrum
+    assert part.dim == 328
+    assert len(part.eigenvalues) == len(part.convergence_estimate) == 41
+
+
+def test_explicit_basis_stops_at_the_round_off_floor(monkeypatch):
+    # at level 0's frequency the octic levels 0..14 stop converging near 480
+    # states; the doubling must stop there, not run on to the cap
+    spec = OscillatorSpec(8, 1.0, 1.0)
+    dims = _counting_blocks(monkeypatch)
+    with pytest.raises(OracleConvergenceError, match="round-off floor") as err:
+        exact_levels(spec, 14, basis_w=level_solution(spec, 0).w)
+    assert max(dims) <= 960 and len(dims) <= 5
+    part = err.value.spectrum
+    assert part.dim == max(dims)
+    assert part.basis_w == level_solution(spec, 0).w
+    assert len(part.eigenvalues) == len(part.convergence_estimate) == 15
+
+
+def test_default_basis_moves_to_mid_spectrum_at_the_floor(monkeypatch):
+    spec = OscillatorSpec(8, 1.0, 1.0)
+    dims = _counting_blocks(monkeypatch)
+    res = exact_levels(spec, 14)
+    assert res.dim == 240
+    assert res.basis_w == level_solution(spec, 7).w
+    assert dims[-3:] == [60, 120, 240]  # restarted from 4 (n_max + 1) states
+    assert max(dims) <= 960
+    assert max(res.convergence_estimate) < 1e-10
+
+
+# The oracle runs on the published grids, with the dimension each converges
+# at from the level-0 basis; a change of basis or stopping rule shows here.
+_PUBLISHED_GRID_DIMS = [
+    (4, 1.0, 40, {0.1: 328, 1.0: 328, 10.0: 656, 100.0: 656}),
+    (4, -1.0, 10, {0.1: 352, 1.0: 176, 10.0: 176, 100.0: 176}),
+    (6, 1.0, 17, {0.1: 288, 1.0: 288, 5.0: 288, 50.0: 288, 200.0: 288}),
+    (6, 3.0, 19, {0.5: 320}),
+    (6, -3.0, 20, {0.5: 672}),
+]
+
+
+@pytest.mark.parametrize("k, g, n_max, dims", _PUBLISHED_GRID_DIMS)
+def test_published_grids_keep_the_level0_basis(k, g, n_max, dims):
+    for lam, dim in dims.items():
+        spec = OscillatorSpec(k, g, lam)
+        res = exact_levels(spec, n_max)
+        assert res.basis_w == level_solution(spec, 0).w, lam
+        assert res.dim == dim, lam
