@@ -46,6 +46,7 @@ from .spectrum import (
     cea_residual,
     level_solution,
     lo_energy_closed_form,
+    phase_solution,
     potential_params,
     sextic_ssb_solutions,
     ssb_displacement,
@@ -76,8 +77,8 @@ __all__ = [
     "hamiltonian_average",
     "GapProblem", "gap_polynomial", "critical_coupling", "solve_gap",
     "EffectiveSolution", "ssb_displacement", "potential_params",
-    "level_solution", "lo_energy_closed_form", "well_referenced_energy",
-    "cea_residual", "sextic_ssb_solutions",
+    "level_solution", "phase_solution", "lo_energy_closed_form",
+    "well_referenced_energy", "cea_residual", "sextic_ssb_solutions",
     "IPTSeries", "TruncationWarning", "position_power_matrix",
     "perturbation_matrix", "rs_corrections", "ipt_energy",
     "OracleSpectrum", "hamiltonian_matrix", "lowest_eigenvalues",

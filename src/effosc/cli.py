@@ -20,15 +20,14 @@ import sys
 import tempfile
 
 from . import __version__
-from .errors import NoSSBSolution, SolverError
-from .gap import solve_gap
+from .errors import SolverError
 from .ipt import rs_corrections
 from .model import OscillatorSpec, Phase
 from .oracle import exact_levels
 from .spectrum import (
     level_solution,
     lo_energy_closed_form,
-    sextic_ssb_solutions,
+    phase_solution,
     well_referenced_energy,
 )
 from .susy import (
@@ -254,27 +253,6 @@ def _level_record(kind, spec, n, phase, w, e0, convention, corrections=(), **aft
     }
 
 
-def _forced_phase_solution(spec, n, phase_name):
-    """Solve one level in an explicitly requested phase instead of the
-    energy-minimizing one; raises when that phase has no solution."""
-    x = n + 0.5
-    if phase_name == "sr":
-        w = solve_gap(spec, x, Phase.SYMMETRY_RESTORED)
-        return Phase.SYMMETRY_RESTORED, w, lo_energy_closed_form(
-            spec, n, Phase.SYMMETRY_RESTORED)
-    if spec.k == 6:
-        branches = sextic_ssb_solutions(spec, n)
-        if not branches:
-            raise NoSSBSolution(
-                f"no broken-symmetry branch for k=6, g={spec.g}, "
-                f"lambda={spec.lam}, n={n}")
-        best = branches[0]
-        return best.phase, best.w, best.E0
-    w = solve_gap(spec, x, Phase.SPONTANEOUSLY_BROKEN)
-    return Phase.SPONTANEOUSLY_BROKEN, w, lo_energy_closed_form(
-        spec, n, Phase.SPONTANEOUSLY_BROKEN)
-
-
 def _cmd_spectrum(args) -> int:
     k, g = _kind_params(args)
     lams, levels = _lambdas_and_levels(args)
@@ -285,10 +263,12 @@ def _cmd_spectrum(args) -> int:
         for n in levels:
             if args.phase == "auto":
                 sol = level_solution(spec, n)
-                phase, w, e0 = sol.phase, sol.w, sol.E0
+                e0 = sol.E0
             else:
-                phase, w, e0 = _forced_phase_solution(spec, n, args.phase)
-            rec = _level_record(args.kind, spec, n, phase, w, scale * e0, args.convention)
+                phase = Phase(args.phase.upper())
+                sol = phase_solution(spec, n, phase)
+                e0 = lo_energy_closed_form(spec, n, phase)
+            rec = _level_record(args.kind, spec, n, sol.phase, sol.w, scale * e0, args.convention)
             if args.order > 0:
                 series = rs_corrections(spec, n, max_order=args.order, dim=args.dim)
                 rec["corrections"] = [scale * c for c in series.corrections]

@@ -9,8 +9,9 @@ level x = n + 1/2, a low-degree polynomial condition in w:
     octic, undisplaced:     w**5 - g w**3 - 35 lam h(x)        = 0
 
 with the level factors f, p, h of `model`.  The displaced sextic condition
-does not reduce to a fixed polynomial (the displacement cannot be
-eliminated); it is handled by the nested solver in `spectrum`.
+couples w to the displacement; `spectrum.sextic_ssb_solutions` eliminates
+the displacement, which leaves a quartic in w² whose coefficients depend on
+the level.
 
 The cubic and biquadratic conditions are solved in closed form, followed by
 a Newton polish against the exact polynomial.  The octic quintic has
@@ -66,7 +67,7 @@ def gap_polynomial(spec: OscillatorSpec, x: float, phase: Phase) -> GapProblem:
         if k != 4:
             raise ValueError(
                 "no fixed-polynomial frequency condition for the displaced k=%d well; "
-                "use the nested displaced solver in `spectrum`" % k
+                "use `spectrum.sextic_ssb_solutions`" % k
             )
         coeffs = (6.0 * lam * factor_p(x), 2.0 * g, 0.0, 1.0)
     else:

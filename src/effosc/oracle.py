@@ -51,30 +51,31 @@ class OracleSpectrum:
 
 
 def _position_power_diagonals(k: int, basis_w: float, dim: int):
-    """Diagonals (offsets 0, 2, ..., k) of f^k, exact in the retained block."""
+    """Diagonals (offsets 0, 2, ...) of f² and of f^k, exact in the retained block."""
     pad = dim + k
     off = np.sqrt(np.arange(1, pad) / (2.0 * basis_w))
     f = scipy.sparse.diags([off, off], [1, -1], format="csr")
     f2 = f @ f
-    if k == 2:
-        fk = f2
-    elif k == 4:
-        fk = f2 @ f2
+    f4 = f2 @ f2
+    if k == 4:
+        fk = f4
     elif k == 6:
-        fk = (f2 @ f2) @ f2
+        fk = f4 @ f2
     elif k == 8:
-        f4 = f2 @ f2
         fk = f4 @ f4
     else:
         raise ValueError("unsupported even power %r" % (k,))
-    return {o: np.asarray(fk.diagonal(o))[: dim - o] for o in range(0, k + 1, 2)}
+
+    def diagonals(m, power):
+        return {o: np.asarray(m.diagonal(o))[: dim - o] for o in range(0, power + 1, 2)}
+
+    return diagonals(f2, 2), diagonals(fk, k)
 
 
 def _hamiltonian_diagonals(spec: OscillatorSpec, basis_w: float, dim: int):
     """Upper diagonals of H = p²/2 + (g/2) f² + lam f^k in the frequency-basis_w basis."""
     n = np.arange(dim, dtype=float)
-    fk = _position_power_diagonals(spec.k, basis_w, dim)
-    f2 = _position_power_diagonals(2, basis_w, dim)
+    f2, fk = _position_power_diagonals(spec.k, basis_w, dim)
     ladder2 = np.sqrt((n[: dim - 2] + 1.0) * (n[: dim - 2] + 2.0))
     diags = {o: spec.lam * fk[o].copy() for o in fk}
     # kinetic part: <m|p²|m> = basis_w (m + 1/2); <m|p²|m+2> = -basis_w sqrt((m+1)(m+2))/2

@@ -11,8 +11,8 @@ carries the whole leading-order spectrum: E0 = w*x + h0 with x = n + 1/2.
 
 For a double well (g < 0) two families of stationary points compete: the
 undisplaced, symmetry-restored one (s = 0) and displaced, broken-symmetry
-ones (s != 0).  `level_solution` solves every available family and keeps
-the lowest-energy candidate.
+ones (s != 0).  `phase_solution` solves one family; `level_solution` keeps
+the lower of the two.
 """
 
 from __future__ import annotations
@@ -21,17 +21,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoPhysicalRoot, NoSSBSolution
-from .gap import solve_gap
-from .model import OscillatorSpec, Phase, factor_h, hamiltonian_average, level_factors, moment
+from .gap import _newton_polish, solve_gap
+from .model import OscillatorSpec, Phase, factor_h, level_factors, moment
 
 __all__ = [
     "EffectiveSolution",
     "ssb_displacement",
     "potential_params",
     "level_solution",
+    "phase_solution",
     "sextic_ssb_solutions",
     "lo_energy_closed_form",
     "well_referenced_energy",
@@ -128,8 +128,8 @@ def _sextic_s_sq(w, x, g, lam):
 
         u² + (10x/w) u + [g/(6 lam) + 15(1+4x²)/(8w²)] = 0
 
-    NaN where that root is negative (below the frequency w_min of
-    `sextic_ssb_solutions`).  For g < 0 the discriminant
+    NaN where that root is negative: below w_min = sqrt(45 lam (1+4x²)/(4|g|)),
+    where the bracket is positive.  For g < 0 the discriminant
     (70x² - 15/2)/w² + 2|g|/(3 lam) is positive, so the root is always real.
     """
     b = 10.0 * x / w
@@ -167,71 +167,93 @@ def _assemble(spec: OscillatorSpec, n: int, phase: Phase, w: float, s_sq: float)
 def sextic_ssb_solutions(spec: OscillatorSpec, n: int):
     """All displaced stationary solutions of a sextic double well at level n.
 
-    The displacement cannot be eliminated from the sextic frequency
-    condition, so this solves the nested system: for each frequency w the
-    stationary s²(w) is substituted back, leaving a one-dimensional root
-    problem.  Returns a (possibly empty) list sorted by energy; shallow
-    wells that cannot bind a displaced state yield [].
+    With u = s² and y = w², the stationarity quadratic u² + (10x/w)u + q(w) = 0
+    turns the u² term of the frequency condition into one linear in u, so
+    u = -Q(y)/(D w) with
+
+        Q = y² + 4g y + K,   K = lam (37.5 + 210x²),   D = lam (210x - 22.5/x) > 0.
+
+    Substituting u back into the stationarity quadratic leaves one quartic in y,
+
+        P(y) = Q² - 10x D Q + D² (g y/(6 lam) + 15(1 + 4x²)/8),
+
+    whose positive real roots with Q < 0 (that is, u > 0) are the displaced
+    states; for K >= 4g², Q > 0 for every y and there are none.  Each root is
+    polished on P and finished by one secant step on the nested residual,
+    which P's expanded coefficients resolve only to ~1e-12.  Returns a
+    (possibly empty) list sorted by energy.
     """
     if spec.k != 6:
-        raise ValueError("nested displaced solver applies to sextic wells only")
+        raise ValueError("the displaced sextic solver applies to sextic wells only")
     if spec.g >= 0.0:
         raise ValueError("displaced solutions require g < 0")
     x = level_factors(n).x
     g, lam = spec.g, spec.lam
-    G = -g
-    # below w_min the stationarity quadratic has no non-negative root
-    w_min = math.sqrt(45.0 * lam * (1.0 + 4.0 * x * x) / (4.0 * G))
-
-    w_sr = solve_gap(spec, x, Phase.SYMMETRY_RESTORED)
-    upper = 2.0 * max(2.0 * math.sqrt(G), w_min, w_sr, 1.0)
-    for _ in range(60):
-        if _sextic_ssb_residual(upper, x, g, lam) > 0.0 and upper > w_min * 4.0:
-            break
-        upper *= 2.0
-    grid = np.linspace(w_min * (1.0 + 1e-12), upper, 512)
-    vals = _sextic_ssb_residual(grid, x, g, lam)
-    a, b = vals[:-1], vals[1:]
-    cells = np.flatnonzero(((a == 0.0) | (a * b < 0.0)) & ~np.isnan(b))
+    K = lam * (37.5 + 210.0 * x * x)
+    if K >= 4.0 * g * g:
+        return []
+    D = lam * (210.0 * x - 22.5 / x)
+    quartic = (  # P(y), ascending
+        K * K - 10.0 * x * D * K + D * D * 15.0 * (1.0 + 4.0 * x * x) / 8.0,
+        8.0 * g * K - 40.0 * x * D * g + D * D * g / (6.0 * lam),
+        16.0 * g * g + 2.0 * K - 10.0 * x * D,
+        8.0 * g,
+        1.0,
+    )
     solutions = []
-    for i in cells:
-        if a[i] == 0.0:
-            root = grid[i]
-        else:
-            root = brentq(_sextic_ssb_residual, grid[i], grid[i + 1], args=(x, g, lam),
-                          xtol=1e-14, rtol=8.9e-16)
-        u = _sextic_s_sq(root, x, g, lam)
-        if not u > 1e-12 * (1.0 + abs(g) / lam):
-            continue  # degenerate with the undisplaced family
-        if solutions and any(abs(root - s.w) <= 1e-8 * (1.0 + root) for s in solutions):
+    for root in np.roots(quartic[::-1]):
+        if root.imag != 0.0 or not root.real > 0.0:
             continue
-        solutions.append(_assemble(spec, n, Phase.SPONTANEOUSLY_BROKEN, float(root), float(u)))
+        y = _newton_polish(quartic, float(root.real))
+        if not y * y + 4.0 * g * y + K < 0.0:
+            continue  # u = -Q/(D w) would be negative
+        w = math.sqrt(y)
+        r, h = _sextic_ssb_residual(w, x, g, lam), 2.0**-24 * w
+        dr = _sextic_ssb_residual(w + h, x, g, lam) - r
+        if dr != 0.0:
+            w -= r * h / dr
+        u = _sextic_s_sq(w, x, g, lam)
+        if u > 1e-12 * (1.0 + abs(g) / lam):  # not degenerate with the undisplaced family
+            solutions.append(_assemble(spec, n, Phase.SPONTANEOUSLY_BROKEN, float(w), float(u)))
     solutions.sort(key=lambda sol: sol.E0)
     return solutions
+
+
+def phase_solution(spec: OscillatorSpec, n: int, phase: Phase) -> EffectiveSolution:
+    """Lowest-energy solution of level n in the given phase.
+
+    Raises NoPhysicalRoot (quartic well above its critical coupling) or
+    NoSSBSolution (no displaced sextic state) when the phase has no
+    solution, and ValueError for a displaced phase of a single well.
+    """
+    x = level_factors(n).x
+    if phase is Phase.SPONTANEOUSLY_BROKEN and spec.k == 6:
+        displaced = sextic_ssb_solutions(spec, n)
+        if not displaced:
+            raise NoSSBSolution(
+                f"no broken-symmetry branch for k=6, g={spec.g}, lambda={spec.lam}, n={n}")
+        return displaced[0]
+    w = solve_gap(spec, x, phase)
+    s_sq = 0.0 if phase is Phase.SYMMETRY_RESTORED else ssb_displacement(spec, x, w)
+    return _assemble(spec, n, phase, w, s_sq)
 
 
 def level_solution(spec: OscillatorSpec, n: int) -> EffectiveSolution:
     """Lowest-energy stationary solution for level n.
 
-    g >= 0 has only the undisplaced family.  For a quartic well below its
-    critical coupling, and for sextic wells deep enough to bind a displaced
-    state, the competing families are all solved and the energy decides.
+    g >= 0 has only the undisplaced family.  A double well also solves the
+    displaced family, where it exists, and the lower energy decides.
     """
-    x = level_factors(n).x
-    candidates = [_assemble(spec, n, Phase.SYMMETRY_RESTORED,
-                            solve_gap(spec, x, Phase.SYMMETRY_RESTORED), 0.0)]
-    if spec.g < 0.0 and spec.lam > 0.0:
-        if spec.k == 4:
-            try:
-                w_b = solve_gap(spec, x, Phase.SPONTANEOUSLY_BROKEN)
-                s_sq = ssb_displacement(spec, x, w_b)
-            except (NoPhysicalRoot, NoSSBSolution):
-                pass  # above the critical coupling, or no displacement there
-            else:
-                candidates.append(_assemble(spec, n, Phase.SPONTANEOUSLY_BROKEN, w_b, s_sq))
+    best = phase_solution(spec, n, Phase.SYMMETRY_RESTORED)
+    if spec.g < 0.0:
+        try:
+            displaced = phase_solution(spec, n, Phase.SPONTANEOUSLY_BROKEN)
+        except (NoPhysicalRoot, NoSSBSolution):
+            pass  # above the critical coupling, or no displaced state
         else:
-            candidates.extend(sextic_ssb_solutions(spec, n))
-    return min(candidates, key=lambda sol: sol.E0)
+            if displaced.E0 < best.E0:
+                best = displaced
+    return best
 
 
 def lo_energy_closed_form(spec: OscillatorSpec, n: int, phase: Phase) -> float:
@@ -240,27 +262,24 @@ def lo_energy_closed_form(spec: OscillatorSpec, n: int, phase: Phase) -> float:
     Undisplaced families (signed g):
         quartic (x/4)(3w + g/w),  sextic (x/3)(2w + g/w),  octic (x/8)(5w + 3g/w).
     Displaced quartic: (x/4)(3w + 2|g|/w) - g²/(16 lam).
-    The displaced sextic has no closed form; its candidates are evaluated
-    variationally.  Agrees with `level_solution(...).E0` at the same phase.
+    The displaced sextic has no closed form; its lowest state is evaluated
+    variationally.  Displaced phases are solved by `phase_solution`, which
+    rejects single wells.  Agrees with `level_solution(...).E0` at the same
+    phase.
     """
     x = level_factors(n).x
     g = spec.g
-    if phase is Phase.SYMMETRY_RESTORED:
-        w = solve_gap(spec, x, phase)
-        if spec.k == 4:
-            return (x / 4.0) * (3.0 * w + g / w)
+    if phase is Phase.SPONTANEOUSLY_BROKEN:
+        sol = phase_solution(spec, n, phase)
         if spec.k == 6:
-            return (x / 3.0) * (2.0 * w + g / w)
-        return (x / 8.0) * (5.0 * w + 3.0 * g / w)
+            return sol.E0
+        return (x / 4.0) * (3.0 * sol.w + 2.0 * abs(g) / sol.w) - g * g / (16.0 * spec.lam)
+    w = solve_gap(spec, x, phase)
     if spec.k == 4:
-        w = solve_gap(spec, x, phase)
-        return (x / 4.0) * (3.0 * w + 2.0 * abs(g) / w) - g * g / (16.0 * spec.lam)
+        return (x / 4.0) * (3.0 * w + g / w)
     if spec.k == 6:
-        displaced = sextic_ssb_solutions(spec, n)
-        if not displaced:
-            raise NoSSBSolution("no displaced sextic solution exists for this well")
-        return displaced[0].E0
-    raise ValueError("no displaced family for the octic oscillator")
+        return (x / 3.0) * (2.0 * w + g / w)
+    return (x / 8.0) * (5.0 * w + 3.0 * g / w)
 
 
 def well_referenced_energy(spec: OscillatorSpec, e0: float) -> float:
@@ -288,11 +307,4 @@ def cea_residual(solution: EffectiveSolution) -> float:
         - solution.A * moment(2, s, w, x)
         + solution.B * s
         - solution.C
-    )
-
-
-def _lo_energy_direct(solution: EffectiveSolution) -> float:
-    """Averaged full Hamiltonian at a solution (second route to E0)."""
-    return hamiltonian_average(
-        solution.spec, solution.s, solution.w, level_factors(solution.n).x
     )

@@ -97,6 +97,15 @@ def test_forced_sextic_ssb_without_branch_is_numerical_failure(capsys):
         "effosc: numerical failure: no broken-symmetry branch for k=6, g=-3.0, lambda=0.02, n=1\n")
 
 
+@pytest.mark.parametrize("kind", ["quartic-aho", "sextic-aho", "octic-aho"])
+@pytest.mark.parametrize("lam", ["0", "0.1"])
+def test_forced_ssb_on_single_well_is_invalid_request(capsys, kind, lam):
+    # a single well has no displaced state, the free oscillator included
+    code, out, err = invoke(capsys, ["spectrum", "--kind", kind, "--lambda", lam, "--phase", "ssb"])
+    assert (code, out) == (2, "")
+    assert err.startswith("effosc: invalid request: ") and "g < 0" in err
+
+
 def test_phase_flag(capsys):
     base = ["spectrum", "--kind", "quartic-dwo", "--lambda", "0.02", "--levels", "0", "--format", "json"]
     for flag, want in [(["--phase", "ssb"], "SSB"), (["--phase", "sr"], "SR"), ([], "SSB")]:

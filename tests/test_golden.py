@@ -33,7 +33,7 @@ GOLDEN = {
         "--levels", "0..20"],
     "ipt-octic-aho.json": [
         "ipt", "--kind", "octic-aho", "--order", "4", "--lambda", "0.1,1", "--levels", "0..10"],
-    # sextic double well: the nested displaced scan, competing and forced
+    # sextic double well: the displaced branch, competing and forced
     "spectrum-sextic-dwo.json": [
         "spectrum", "--kind", "sextic-dwo", "--g", "-3", "--lambda", "0.005,0.01,0.02,0.05,0.1",
         "--levels", "0..9"],

@@ -198,6 +198,31 @@ def test_order_decay_true_behaviour():
     assert abs(strong[3]) > abs(strong[2])  # the documented violation
 
 
+# lam = 1, n = 0, partial sums E0, E0 + dE2, + dE3, + dE4 (dE1 = 0 by EQA)
+# of the fixed-frequency series, and the oracle's level
+FIXED_FREQUENCY_SERIES = {
+    6: ((0.8377971826847219, 0.7694236702098914, 0.9801521445431676, -0.5358915250443541),
+        0.8049659760115407),
+    8: ((0.8896909146595636, 0.6436080825783602, 3.913638008873552, -114.90166949260883),
+        0.8206851785664024),
+}
+
+
+def test_sextic_and_octic_series_do_not_decay_at_unit_coupling(oracle):
+    # unlike the quartic (criterion 09), the sextic and octic series about
+    # the level's own frequency grow at fourth order: the order-4 sum lies
+    # farther from the exact level than E0 does
+    for k, (sums, exact) in FIXED_FREQUENCY_SERIES.items():
+        spec = OscillatorSpec(k, 1.0, 1.0)
+        series = rs_corrections(spec, 0, max_order=4)
+        got = [series.partial_sums[i] for i in (0, 2, 3, 4)]
+        assert got == pytest.approx(sums, rel=1e-9), k
+        assert oracle(spec, 0).eigenvalues[0] == pytest.approx(exact, rel=1e-9), k
+        d = series.corrections
+        assert abs(d[3]) > abs(d[2]), k
+        assert abs(got[-1] - exact) > abs(got[0] - exact), k
+
+
 def test_truncation_warning_on_small_basis():
     with pytest.warns(TruncationWarning):
         rs_corrections(OscillatorSpec(4, 1.0, 1.0), 0, max_order=4, dim=5)

@@ -13,6 +13,7 @@ from effosc.spectrum import (
     cea_residual,
     level_solution,
     lo_energy_closed_form,
+    phase_solution,
     sextic_ssb_solutions,
     ssb_displacement,
     well_referenced_energy,
@@ -100,6 +101,11 @@ def test_phase_selection_is_argmin():
     assert level_solution(spec, 0).phase is Phase.SYMMETRY_RESTORED
     with pytest.raises(NoPhysicalRoot):
         lo_energy_closed_form(spec, 0, Phase.SPONTANEOUSLY_BROKEN)
+    # a single well, the free oscillator included, has no displaced family
+    for k in (4, 6, 8):
+        for lam in (0.0, 0.1):
+            with pytest.raises(ValueError):
+                lo_energy_closed_form(OscillatorSpec(k, 1.0, lam), 0, Phase.SPONTANEOUSLY_BROKEN)
 
 
 def test_quartic_phase_crossover_frozen():
@@ -150,9 +156,9 @@ def test_sextic_displaced_solutions_frozen():
 
 
 def test_sextic_residual_on_array_matches_scalar_calls():
-    # the displaced scan evaluates the residual on a whole grid at once and
-    # hands the same function to brentq point by point
-    for lam, n in ((0.005, 0), (0.05, 3), (0.5, 9)):
+    # the nested residual works elementwise on a grid and on one float; the
+    # displaced solver's last secant step evaluates it on floats
+    for lam, n in ((0.005, 0), (0.05, 3), (0.5, 9), (0.2, 0), (1e-5, 5)):
         spec = OscillatorSpec(6, -3.0, lam)
         x = level_factors(n).x
         w_min = math.sqrt(45.0 * lam * (1.0 + 4.0 * x * x) / (4.0 * 3.0))
@@ -168,6 +174,66 @@ def test_sextic_residual_on_array_matches_scalar_calls():
             assert s_sq >= 0.0
             assert v == pytest.approx(one, rel=1e-14, abs=1e-14 * w**4)
         assert np.isnan(vals).any() and not np.isnan(vals).all()
+        # every displaced root the solver returns zeroes the nested residual
+        for sol in sextic_ssb_solutions(spec, n):
+            assert abs(_sextic_ssb_residual(sol.w, x, spec.g, lam)) <= 1e-12 * sol.w**4, (lam, n)
+
+
+def _nested_residual_mp(mp, w, x, g, lam):
+    """The nested residual of `_sextic_ssb_residual` in mpmath arithmetic."""
+    b = 10 * x / w
+    q = g / (6 * lam) + 15 * (1 + 4 * x * x) / (8 * w * w)
+    u = (-b + mp.sqrt(b * b - 4 * q)) / 2
+    return (w**4 - w * w * (g + 30 * lam * u * u)
+            - 45 * lam * u * w * (1 + 4 * x * x) / (2 * x) - 15 * lam / 4 * (5 + 4 * x * x))
+
+
+def test_sextic_displaced_roots_match_50_digit_nested_solve():
+    # the roots come from one quartic in w² and a secant step on the nested
+    # residual; a 50-digit Newton solve of the nested system itself, started
+    # at each root, must agree to 1e-13 relative
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    worst, count = 0.0, 0
+    for g in (-0.5, -3.0, -30.0, -1000.0):
+        for lam in np.logspace(-5.0, math.log10(30.0), 20):
+            lam = float(lam)
+            for n in (0, 1, 5, 20):
+                x = mp.mpf(n) + mp.mpf(1) / 2
+                for sol in sextic_ssb_solutions(OscillatorSpec(6, g, lam), n):
+                    ref = mp.findroot(lambda w: _nested_residual_mp(mp, w, x, g, mp.mpf(lam)),
+                                      mp.mpf(sol.w))
+                    worst = max(worst, float(abs(sol.w - ref) / ref))
+                    count += 1
+    assert count == 358
+    assert worst <= 1e-13
+
+
+# Coupling at which the two displaced sextic states of g = -3, n = 0 merge
+# and vanish: a double root of the eliminated quartic, solved at 40 digits.
+SEXTIC_MERGE_LAMBDA = 0.22507567689200275662
+
+
+def test_sextic_displaced_pair_found_up_to_its_merge():
+    # just below the merge the pair is 3e-5 apart in w, narrower than the
+    # former 512-point scan could resolve; just above it is gone
+    below = OscillatorSpec(6, -3.0, SEXTIC_MERGE_LAMBDA * (1.0 - 1e-9))
+    above = OscillatorSpec(6, -3.0, SEXTIC_MERGE_LAMBDA * (1.0 + 1e-6))
+    pair = sextic_ssb_solutions(below, 0)
+    assert len(pair) == 2
+    assert pair[0].w != pair[1].w
+    for sol in pair:
+        assert sol.w == pytest.approx(1.9266918512745580, rel=1e-4)
+    assert sextic_ssb_solutions(above, 0) == []
+    # the pair lies above the symmetric state, so the selected level is the
+    # symmetric one on both sides of the merge
+    for spec, e0 in ((below, -0.0897570721181481), (above, -0.08975675254873472)):
+        chosen = level_solution(spec, 0)
+        assert chosen.phase is Phase.SYMMETRY_RESTORED
+        assert chosen == phase_solution(spec, 0, Phase.SYMMETRY_RESTORED)
+        assert chosen.E0 == pytest.approx(e0, rel=1e-12)
 
 
 # Ground level of the sextic double well at g = -3 where the displaced

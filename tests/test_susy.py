@@ -64,7 +64,7 @@ def test_scaling_covariance():
 
 
 def test_no_displaced_solutions_on_partner_family():
-    # the partner double wells sit in the coupling regime where the nested
+    # the partner double wells sit in the coupling regime where the
     # displaced solver finds nothing, for every b (scaling covariance makes
     # existence b-independent)
     for b in (0.25, 1.0, 4.0, 100.0):
