@@ -152,25 +152,25 @@ def _parse_levels(text: str) -> list[int]:
         if hi_i < lo_i:
             raise ValueError(f"descending level range {text!r}")
         _check_cells(hi_i - lo_i + 1)
-        return list(range(lo_i, hi_i + 1))
-    parts = [v for v in text.split(",") if v.strip()]
-    _check_cells(len(parts))
-    values = [int(v) for v in parts]
-    if not values:
-        raise ValueError("empty level list")
-    if any(v < 0 for v in values):
+        values = list(range(lo_i, hi_i + 1))
+    else:
+        parts = [v for v in text.split(",") if v.strip()]
+        _check_cells(len(parts))
+        values = [int(v) for v in parts]
+        if not values:
+            raise ValueError("empty level list")
+    if min(values) < 0:
         raise ValueError("levels must be non-negative")
     return values
 
 
-def _lambdas_and_levels(args) -> tuple[list[float], list[int]]:
-    lams, levels = _parse_float_list(args.lam), _parse_levels(args.levels)
-    _check_cells(len(lams) * len(levels))
-    return lams, levels
+def _level_grid(args, **meta_fields):
+    """``(specs, levels, scale, meta)`` of a level command's coupling x level grid.
 
-
-def _kind_params(args) -> tuple[int, float]:
-    """Power k and curvature g for ``--kind``/``--g``."""
+    ``specs`` builds one spec per coupling as it is iterated, so an invalid
+    coupling fails when its turn comes; ``meta_fields`` sit between
+    ``levels`` and ``convention`` in ``meta``.
+    """
     k, sign = _KINDS[args.kind]
     if args.g is None:
         g = sign
@@ -181,7 +181,12 @@ def _kind_params(args) -> tuple[int, float]:
                 f"--g {g} conflicts with --kind {args.kind}: "
                 f"expected {'positive' if sign > 0 else 'negative'} curvature"
             )
-    return k, g
+    lams, levels = _parse_float_list(args.lam), _parse_levels(args.levels)
+    _check_cells(len(lams) * len(levels))
+    specs = (OscillatorSpec(k, g, lam) for lam in lams)
+    meta = {"kind": args.kind, "g": g, "lambda": lams, "levels": levels, **meta_fields,
+            "convention": args.convention}
+    return specs, levels, _scale_for(args.convention, k), meta
 
 
 def _scale_for(convention: str, k: int) -> float:
@@ -205,9 +210,12 @@ def _emit(text: str, out_path) -> None:
         raise
 
 
-def _render(meta: dict, records: list[dict], columns: list[str], fmt: str) -> str:
+def _render(meta: dict, records: list[dict], fmt: str, columns=None) -> str:
+    """JSON, or CSV whose columns default to the keys all records share, in order."""
     if fmt == "json":
         return _json({"meta": meta, "records": records}) + "\n"
+    if columns is None:
+        columns = list(records[0])
     lines = [",".join(columns)]
     for rec in records:
         cells = []
@@ -223,7 +231,7 @@ def _render(meta: dict, records: list[dict], columns: list[str], fmt: str) -> st
     return "\n".join(lines) + "\n"
 
 
-def _output(args, subcommand: str, meta: dict, records: list[dict], columns: list[str]) -> int:
+def _output(args, subcommand: str, meta: dict, records: list[dict], columns=None) -> int:
     """The one output path: refuse non-finite records, stamp meta, render, emit."""
     for index, rec in enumerate(records):
         for key, value in rec.items():
@@ -234,13 +242,8 @@ def _output(args, subcommand: str, meta: dict, records: list[dict], columns: lis
             if not finite:
                 raise SolverError(f"non-finite {key} in output record {index}")
     meta = {"tool": "effosc", "version": __version__, "subcommand": subcommand, **meta}
-    _emit(_render(meta, records, columns, args.format), args.out)
+    _emit(_render(meta, records, args.format, columns), args.out)
     return 0
-
-
-_SPECTRUM_COLUMNS = [
-    "kind", "g", "lambda", "n", "phase", "convention", "w", "E0", "corrections",
-]
 
 
 def _level_record(kind, spec, n, phase, w, e0, convention, corrections=(), **after_lambda) -> dict:
@@ -254,18 +257,15 @@ def _level_record(kind, spec, n, phase, w, e0, convention, corrections=(), **aft
 
 
 def _cmd_spectrum(args) -> int:
-    k, g = _kind_params(args)
-    lams, levels = _lambdas_and_levels(args)
-    scale = _scale_for(args.convention, k)
+    specs, levels, scale, meta = _level_grid(args, order=args.order)
+    phase = None if args.phase == "auto" else Phase(args.phase.upper())
     records = []
-    for lam in lams:
-        spec = OscillatorSpec(k, g, lam)
+    for spec in specs:
         for n in levels:
-            if args.phase == "auto":
+            if phase is None:
                 sol = level_solution(spec, n)
                 e0 = sol.E0
             else:
-                phase = Phase(args.phase.upper())
                 sol = phase_solution(spec, n, phase)
                 e0 = lo_energy_closed_form(spec, n, phase)
             rec = _level_record(args.kind, spec, n, sol.phase, sol.w, scale * e0, args.convention)
@@ -274,19 +274,13 @@ def _cmd_spectrum(args) -> int:
                 rec["corrections"] = [scale * c for c in series.corrections]
                 rec["E_ipt"] = scale * series.partial_sums[-1]
             records.append(rec)
-    meta = {"kind": args.kind, "g": g, "lambda": lams, "levels": levels,
-            "order": args.order, "convention": args.convention}
-    columns = _SPECTRUM_COLUMNS + (["E_ipt"] if args.order > 0 else [])
-    return _output(args, "spectrum", meta, records, columns)
+    return _output(args, "spectrum", meta, records)
 
 
 def _cmd_ipt(args) -> int:
-    k, g = _kind_params(args)
-    lams, levels = _lambdas_and_levels(args)
-    scale = _scale_for(args.convention, k)
+    specs, levels, scale, meta = _level_grid(args, order=args.order)
     records = []
-    for lam in lams:
-        spec = OscillatorSpec(k, g, lam)
+    for spec in specs:
         for n in levels:
             series = rs_corrections(spec, n, max_order=args.order, dim=args.dim)
             sol = level_solution(spec, n)
@@ -296,20 +290,14 @@ def _cmd_ipt(args) -> int:
             rec["partial_sums"] = [scale * p for p in series.partial_sums]
             rec["basis_dim"] = series.basis_dim
             records.append(rec)
-    meta = {"kind": args.kind, "g": g, "lambda": lams, "levels": levels,
-            "order": args.order, "convention": args.convention}
-    return _output(args, "ipt", meta, records, _SPECTRUM_COLUMNS + ["partial_sums", "basis_dim"])
+    return _output(args, "ipt", meta, records)
 
 
 def _cmd_oracle(args) -> int:
-    k, g = _kind_params(args)
-    lams, levels = _lambdas_and_levels(args)
-    rel_tol = _finite_float(args.rel_tol)
-    scale = _scale_for(args.convention, k)
+    specs, levels, scale, meta = _level_grid(args, rel_tol=_finite_float(args.rel_tol))
     records = []
-    for lam in lams:
-        spec = OscillatorSpec(k, g, lam)
-        spectrum = exact_levels(spec, max(levels), rel_tol=rel_tol)
+    for spec in specs:
+        spectrum = exact_levels(spec, max(levels), rel_tol=meta["rel_tol"])
         for n in levels:
             sol = level_solution(spec, n)
             rec = _level_record(args.kind, spec, n, sol.phase, sol.w, scale * sol.E0,
@@ -318,10 +306,7 @@ def _cmd_oracle(args) -> int:
             rec["oracle_convergence"] = scale * spectrum.convergence_estimate[n]
             rec["basis_dim"] = spectrum.dim
             records.append(rec)
-    meta = {"kind": args.kind, "g": g, "lambda": lams, "levels": levels,
-            "rel_tol": rel_tol, "convention": args.convention}
-    columns = _SPECTRUM_COLUMNS + ["oracle", "oracle_convergence", "basis_dim"]
-    return _output(args, "oracle", meta, records, columns)
+    return _output(args, "oracle", meta, records)
 
 
 # --- published-table reproduction -------------------------------------------
@@ -357,11 +342,6 @@ _TABLES = {
 }
 _TABLE4_LEVELS = range(20)
 
-_TABLE_COLUMNS = [
-    "kind", "g", "lambda", "lambda_table", "n", "phase", "convention",
-    "w", "E0", "corrections", "value",
-]
-
 
 def table_records(table_id: int) -> list[dict]:
     """Record list for one published table, in row-major printed order."""
@@ -388,7 +368,7 @@ def table_records(table_id: int) -> list[dict]:
 
 def _cmd_table(args) -> int:
     meta = {"id": args.id, "convention": f"paper-table-{args.id}"}
-    return _output(args, "table", meta, table_records(args.id), _TABLE_COLUMNS)
+    return _output(args, "table", meta, table_records(args.id))
 
 
 def _cmd_vacuum(args) -> int:
@@ -401,8 +381,7 @@ def _cmd_vacuum(args) -> int:
         rec.update(w0=vac.w0, alpha=vac.alpha, n0=vac.n0, E0_pert=vac.E0_pert,
                    stability_gap=vac.E0 - vac.E0_pert)
         records.append(rec)
-    columns = _SPECTRUM_COLUMNS + ["w0", "alpha", "n0", "E0_pert", "stability_gap"]
-    return _output(args, "vacuum", {"lambda": lams}, records, columns)
+    return _output(args, "vacuum", {"lambda": lams}, records)
 
 
 def _cmd_effective_potential(args) -> int:
@@ -416,8 +395,7 @@ def _cmd_effective_potential(args) -> int:
         for lam in lams for s in s_values
     ]
     meta = {"lambda": lams, "grid": [s_values[0], s_values[-1]]}
-    columns = ["kind", "g", "lambda", "s", "v_variational", "v_perturbative"]
-    return _output(args, "effective-potential", meta, records, columns)
+    return _output(args, "effective-potential", meta, records)
 
 
 def _cmd_susy(args) -> int:
@@ -436,7 +414,7 @@ def _cmd_susy(args) -> int:
             meta["overlap"], meta["l2_distance"] = wavefunction_distance(b_values[0], grid)
         except ValueError:
             meta["overlap"] = meta["l2_distance"] = None
-        return _output(args, "susy-wavefunction", meta, records, ["curve", "b", "f", "psi"])
+        return _output(args, "susy-wavefunction", meta, records)
 
     levels = _parse_levels(args.levels)
     _check_cells(len(b_values) * len(levels))
@@ -462,8 +440,10 @@ def _cmd_susy(args) -> int:
                     rec["residual"] = scaling_residual(b, n, which=which)
                     records.append(rec)
     meta = {"b": b_values, "levels": levels}
-    extra = ["b", "partner_E0", "residual"] if args.mode == "ispp" else ["b", "residual"]
-    return _output(args, f"susy-{args.mode}", meta, records, _SPECTRUM_COLUMNS + extra)
+    # the one CSV whose order differs from the JSON's: b follows corrections there
+    columns = [key for key in records[0] if key != "b"]
+    columns.insert(columns.index("corrections") + 1, "b")
+    return _output(args, f"susy-{args.mode}", meta, records, columns)
 
 
 def _add_level_flags(parser, *, order=None) -> None:

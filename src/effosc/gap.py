@@ -205,18 +205,19 @@ def solve_gap(spec: OscillatorSpec, x: float, phase: Phase) -> float:
     above the positive critical point sqrt(3g/5), where the polynomial is
     negative, and below the Cauchy bound 1 + max(c, g); bracketed Newton
     solves it on that interval.  Raises NoPhysicalRoot when the displaced
-    quartic branch is requested above its critical coupling, and SolverError
-    when the root overflows.
+    quartic branch is requested above its critical coupling, ValueError for
+    a displaced phase of a single well (the free oscillator included), and
+    SolverError when the root overflows.
     """
     g, lam, k = spec.g, spec.lam, spec.k
-    if lam == 0.0:
-        return math.sqrt(g)  # g > 0 enforced by OscillatorSpec
     if phase is Phase.SPONTANEOUSLY_BROKEN and k == 4 and g < 0.0:
         # above the critical coupling there is no root: say so before building the polynomial
         lam_c = critical_coupling(-g, x)
         if lam > lam_c * (1.0 + 1e-12):
             raise NoPhysicalRoot(lam, lam_c)
     problem = gap_polynomial(spec, x, phase)  # validates (k, g) support
+    if lam == 0.0:
+        return math.sqrt(g)  # g > 0 enforced by OscillatorSpec
     if phase is Phase.SPONTANEOUSLY_BROKEN:
         w = _newton_polish(problem.coefficients, _quartic_ssb_root(-g, lam, lam_c))
     elif k == 4:

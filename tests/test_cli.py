@@ -399,3 +399,38 @@ def test_effective_potential_json_is_strict_and_matches_csv(capsys):
     header = csv_out.split("\n", 1)[0].split(",")
     assert len(records) == 10
     assert all(list(rec) == header for rec in records)
+
+
+_LEVEL_COLUMNS = "kind,g,lambda,n,phase,convention,w,E0,corrections"
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["spectrum", "--kind", "quartic-aho", "--lambda", "0.1", "--order", "0"], _LEVEL_COLUMNS),
+    (["spectrum", "--kind", "quartic-aho", "--lambda", "0.1", "--order", "2"],
+     _LEVEL_COLUMNS + ",E_ipt"),
+    (["spectrum", "--kind", "quartic-dwo", "--lambda", "0.02", "--phase", "ssb"], _LEVEL_COLUMNS),
+    (["ipt", "--kind", "quartic-aho", "--lambda", "0.1"], _LEVEL_COLUMNS + ",partial_sums,basis_dim"),
+    (["oracle", "--kind", "quartic-aho", "--lambda", "1"],
+     _LEVEL_COLUMNS + ",oracle,oracle_convergence,basis_dim"),
+    (["vacuum", "--lambda", "0.1"], _LEVEL_COLUMNS + ",w0,alpha,n0,E0_pert,stability_gap"),
+    (["susy", "ispp", "--levels", "0"], _LEVEL_COLUMNS + ",b,partner_E0,residual"),
+    (["susy", "scaling", "--levels", "0"], _LEVEL_COLUMNS + ",b,residual"),
+    (["susy", "wavefunction", "--grid", "-1:1:1"], "curve,b,f,psi"),
+])
+def test_csv_header(capsys, argv, header):
+    code, out, err = invoke(capsys, argv + ["--format", "csv"])
+    assert (code, err) == (0, "")
+    assert out.split("\n", 1)[0] == header
+
+
+def test_negative_level_range_rejected_before_solving(capsys, monkeypatch):
+    import effosc.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("exact_levels called")
+
+    monkeypatch.setattr(cli, "exact_levels", never)
+    code, out, err = invoke(capsys, ["oracle", "--kind", "quartic-aho", "--lambda", "1",
+                                     "--levels", "-2..3"])
+    assert (code, out) == (2, "")
+    assert err == "effosc: invalid request: levels must be non-negative\n"

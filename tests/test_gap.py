@@ -69,6 +69,13 @@ def test_solution_satisfies_polynomial():
 def test_free_oscillator_limit():
     for k in (4, 6, 8):
         assert solve_gap(OscillatorSpec(k, 4.0, 0.0), 0.5, Phase.SYMMETRY_RESTORED) == 2.0
+        assert solve_gap(OscillatorSpec(k, 2.0, 0.0), 0.5, Phase.SYMMETRY_RESTORED) == math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_free_oscillator_has_no_displaced_phase(k):
+    with pytest.raises(ValueError, match="requires g < 0"):
+        solve_gap(OscillatorSpec(k, 1.0, 0.0), 0.5, Phase.SPONTANEOUSLY_BROKEN)
 
 
 def test_frequency_monotone_in_coupling():
