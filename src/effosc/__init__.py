@@ -28,18 +28,16 @@ from .ipt import (
     rs_corrections,
 )
 from .model import (
-    LevelFactors,
     OscillatorSpec,
     Phase,
     hamiltonian_average,
-    level_factors,
+    level_x,
     moment,
 )
 from .oracle import (
     OracleSpectrum,
     exact_levels,
     hamiltonian_matrix,
-    lowest_eigenvalues,
 )
 from .spectrum import (
     EffectiveSolution,
@@ -73,7 +71,7 @@ __all__ = [
     "__version__",
     "SolverError", "NoPhysicalRoot", "NoSSBSolution", "SSBUnsupported",
     "OracleConvergenceError",
-    "OscillatorSpec", "Phase", "LevelFactors", "level_factors", "moment",
+    "OscillatorSpec", "Phase", "level_x", "moment",
     "hamiltonian_average",
     "GapProblem", "gap_polynomial", "critical_coupling", "solve_gap",
     "EffectiveSolution", "ssb_displacement", "potential_params",
@@ -81,8 +79,7 @@ __all__ = [
     "well_referenced_energy", "cea_residual", "sextic_ssb_solutions",
     "IPTSeries", "TruncationWarning", "position_power_matrix",
     "perturbation_matrix", "rs_corrections", "ipt_energy",
-    "OracleSpectrum", "hamiltonian_matrix", "lowest_eigenvalues",
-    "exact_levels",
+    "OracleSpectrum", "hamiltonian_matrix", "exact_levels",
     "VacuumStructure", "bogoliubov_alpha", "condensate_density",
     "effective_potential", "stability_gap", "vacuum_structure",
     "PartnerPair", "partner_specs", "ispp_residual", "scaling_residual",

@@ -430,7 +430,7 @@ def _cmd_susy(args) -> int:
                 rec = _level_record("sextic-dwo", pair.dwo, n, dwo.phase, dwo.w,
                                     scale * dwo.E0, units, b=b)
                 rec["partner_E0"] = scale * aho.E0
-                rec["residual"] = ispp_residual(b, n, units=units)
+                rec["residual"] = scale * ispp_residual(b, n)
                 records.append(rec)
             else:
                 for which, spec in (("aho", pair.aho), ("dwo", pair.dwo)):

@@ -162,11 +162,6 @@ def rs_corrections(spec: OscillatorSpec, n: int, max_order: int = 4, dim=None) -
     if dim is None:
         dim = n + 3 * spec.k + 1
     sol = level_solution(spec, n)
-    if sol.s != 0.0:
-        raise SSBUnsupported(
-            "perturbative corrections are defined about an undisplaced solution; "
-            "level %d of this spec selects a displaced one" % n
-        )
     lo, top = max(0, n - 3 * spec.k), min(dim, n + 3 * spec.k + 1)
     v = perturbation_matrix(spec, n, top - lo, lo)
     energies = _rs_run(v, sol.w, n, max_order, lo)

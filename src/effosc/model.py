@@ -11,8 +11,8 @@ level; everything downstream needs the averages of powers of f in a
 displaced harmonic-oscillator eigenstate, which live here.
 
 Conventions: the trial state is the n-th eigenstate of an oscillator with
-frequency w, displaced to sit at <f> = s.  The combination x = n + 1/2
-appears everywhere and is carried explicitly.
+frequency w, displaced to sit at <f> = s.  The level enters only through
+x = n + 1/2 (`level_x`), which is carried explicitly.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 __all__ = [
     "OscillatorSpec",
-    "LevelFactors",
     "Phase",
-    "level_factors",
+    "level_x",
     "factor_f",
     "factor_p",
     "factor_h",
@@ -66,6 +65,18 @@ class OscillatorSpec:
             raise ValueError("double-well quadratic coefficient (g < 0) is only supported for k in {4, 6}")
 
 
+def level_x(n: int) -> float:
+    """Level coordinate x = n + 1/2 of the n-th state (n >= 0)."""
+    if n < 0 or n != int(n):
+        raise ValueError("level index must be a non-negative integer, got %r" % (n,))
+    return int(n) + 0.5
+
+
+# Level-dependent prefactors of the quartic, broken-quartic and octic
+# frequency conditions, all strictly increasing in x; the one definition
+# every solver and moment shares.
+
+
 def factor_f(x: float) -> float:
     """Quartic level factor f(x) = x + 1/(4x)."""
     return x + 1.0 / (4.0 * x)
@@ -79,33 +90,6 @@ def factor_p(x: float) -> float:
 def factor_h(x: float) -> float:
     """Octic level factor h(x) = x³ + (7/2)x + 9/(16x)."""
     return x**3 + 3.5 * x + 9.0 / (16.0 * x)
-
-
-@dataclass(frozen=True)
-class LevelFactors:
-    """Per-level combinations that recur in the gap equations.
-
-    x = n + 1/2; f, p and h are the level-dependent prefactors of the
-    quartic, broken-quartic and octic frequency conditions.  All three are
-    strictly increasing in n, and are evaluated by `factor_f`, `factor_p`
-    and `factor_h`, the one definition every solver and moment shares
-    (h with its last term as 9/(16x)).
-    """
-
-    n: int
-    x: float
-    f: float
-    p: float
-    h: float
-
-
-def level_factors(n: int) -> LevelFactors:
-    """Level factors for the n-th state (n >= 0)."""
-    if n < 0 or n != int(n):
-        raise ValueError("level index must be a non-negative integer, got %r" % (n,))
-    n = int(n)
-    x = n + 0.5
-    return LevelFactors(n=n, x=x, f=factor_f(x), p=factor_p(x), h=factor_h(x))
 
 
 # Central moments <(f - s)^j> of the displaced oscillator eigenstate:

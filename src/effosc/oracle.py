@@ -34,7 +34,6 @@ from .spectrum import level_solution
 __all__ = [
     "OracleSpectrum",
     "hamiltonian_matrix",
-    "lowest_eigenvalues",
     "exact_levels",
 ]
 
@@ -97,22 +96,6 @@ def hamiltonian_matrix(spec: OscillatorSpec, basis_w: float, dim: int) -> np.nda
         h[idx, idx + o] = vals
         h[idx + o, idx] = vals
     return h
-
-
-def lowest_eigenvalues(matrix, count: int):
-    """The `count` smallest eigenvalues of a symmetric matrix, ascending.
-
-    Uses an orthogonal-similarity symmetric eigensolver; rejects
-    non-symmetric input rather than silently symmetrizing it.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix, got shape %r" % (m.shape,))
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if not np.allclose(m, m.T, atol=1e-12 * max(1.0, scale), rtol=0.0):
-        raise ValueError("matrix is not symmetric")
-    vals = np.linalg.eigvalsh(m)
-    return [float(v) for v in vals[:count]]
 
 
 def _parity_block_eigenvalues(diags, dim: int, k: int):

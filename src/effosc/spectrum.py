@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NoPhysicalRoot, NoSSBSolution
 from .gap import _newton_polish, solve_gap
-from .model import OscillatorSpec, Phase, factor_h, level_factors, moment
+from .model import OscillatorSpec, Phase, factor_h, level_x, moment
 
 __all__ = [
     "EffectiveSolution",
@@ -153,8 +153,8 @@ def _sextic_ssb_residual(w, x, g, lam):
     )
 
 
-def _assemble(spec: OscillatorSpec, n: int, phase: Phase, w: float, s_sq: float) -> EffectiveSolution:
-    x = level_factors(n).x
+def _assemble(spec: OscillatorSpec, n: int, x: float, phase: Phase, w: float,
+              s_sq: float) -> EffectiveSolution:
     s = math.sqrt(s_sq)
     A, B, C = potential_params(spec, s, w, x)
     h0 = spec.lam * C - 0.5 * w * w * s_sq
@@ -187,7 +187,7 @@ def sextic_ssb_solutions(spec: OscillatorSpec, n: int):
         raise ValueError("the displaced sextic solver applies to sextic wells only")
     if spec.g >= 0.0:
         raise ValueError("displaced solutions require g < 0")
-    x = level_factors(n).x
+    x = level_x(n)
     g, lam = spec.g, spec.lam
     K = lam * (37.5 + 210.0 * x * x)
     if K >= 4.0 * g * g:
@@ -214,7 +214,7 @@ def sextic_ssb_solutions(spec: OscillatorSpec, n: int):
             w -= r * h / dr
         u = _sextic_s_sq(w, x, g, lam)
         if u > 1e-12 * (1.0 + abs(g) / lam):  # not degenerate with the undisplaced family
-            solutions.append(_assemble(spec, n, Phase.SPONTANEOUSLY_BROKEN, float(w), float(u)))
+            solutions.append(_assemble(spec, n, x, Phase.SPONTANEOUSLY_BROKEN, float(w), float(u)))
     solutions.sort(key=lambda sol: sol.E0)
     return solutions
 
@@ -226,7 +226,7 @@ def phase_solution(spec: OscillatorSpec, n: int, phase: Phase) -> EffectiveSolut
     NoSSBSolution (no displaced sextic state) when the phase has no
     solution, and ValueError for a displaced phase of a single well.
     """
-    x = level_factors(n).x
+    x = level_x(n)
     if phase is Phase.SPONTANEOUSLY_BROKEN and spec.k == 6:
         displaced = sextic_ssb_solutions(spec, n)
         if not displaced:
@@ -235,7 +235,7 @@ def phase_solution(spec: OscillatorSpec, n: int, phase: Phase) -> EffectiveSolut
         return displaced[0]
     w = solve_gap(spec, x, phase)
     s_sq = 0.0 if phase is Phase.SYMMETRY_RESTORED else ssb_displacement(spec, x, w)
-    return _assemble(spec, n, phase, w, s_sq)
+    return _assemble(spec, n, x, phase, w, s_sq)
 
 
 def level_solution(spec: OscillatorSpec, n: int) -> EffectiveSolution:
@@ -267,7 +267,7 @@ def lo_energy_closed_form(spec: OscillatorSpec, n: int, phase: Phase) -> float:
     rejects single wells.  Agrees with `level_solution(...).E0` at the same
     phase.
     """
-    x = level_factors(n).x
+    x = level_x(n)
     g = spec.g
     if phase is Phase.SPONTANEOUSLY_BROKEN:
         sol = phase_solution(spec, n, phase)
@@ -300,7 +300,7 @@ def cea_residual(solution: EffectiveSolution) -> float:
     as an independent identity check.
     """
     spec = solution.spec
-    x = level_factors(solution.n).x
+    x = solution.n + 0.5
     s, w = solution.s, solution.w
     return spec.lam * (
         moment(spec.k, s, w, x)

@@ -13,8 +13,8 @@ spectrum scales as sqrt(b).  The approximate per-level solutions satisfy
 the scaling law exactly but the interlacing only approximately; both
 residuals are exposed here.
 
-Unit conventions: `units="half"` is this package's H = p²/2 + ...;
-`units="paper"` doubles energies to match references that use H = p² + W² ± W'.
+Energies are in this package's half units, H = p²/2 + ...; references that
+use H = p² + W² ± W' quote twice these values.
 """
 
 from __future__ import annotations
@@ -60,21 +60,14 @@ def partner_specs(b: float) -> PartnerPair:
     )
 
 
-def _check_units(units: str):
-    if units not in ("half", "paper"):
-        raise ValueError("units must be 'half' or 'paper', got %r" % (units,))
-
-
-def ispp_residual(b: float, n: int, units: str = "paper") -> float:
+def ispp_residual(b: float, n: int) -> float:
     """Interlacing defect E_{n+1}(well) - E_n(single well) of the approximate levels.
 
     Exactly zero for the true spectra (unbroken partner symmetry); the
     approximate value measures the scheme's error and shrinks with n.
     """
-    _check_units(units)
     pair = partner_specs(b)
-    residual = level_solution(pair.dwo, n + 1).E0 - level_solution(pair.aho, n).E0
-    return 2.0 * residual if units == "paper" else residual
+    return level_solution(pair.dwo, n + 1).E0 - level_solution(pair.aho, n).E0
 
 
 def scaling_residual(b: float, n: int, which: str = "aho") -> float:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from effosc.errors import NoPhysicalRoot, SolverError
 from effosc.gap import critical_coupling, gap_polynomial, solve_gap
-from effosc.model import OscillatorSpec, Phase, level_factors
+from effosc.model import OscillatorSpec, Phase, factor_f, factor_h, factor_p, level_x
 
 
 def poly_residual(coeffs, w):
@@ -18,16 +18,15 @@ def poly_residual(coeffs, w):
 
 def test_gap_polynomial_families():
     for n in (0, 3):
-        lf = level_factors(n)
-        x = lf.x
+        x = level_x(n)
         p4 = gap_polynomial(OscillatorSpec(4, 2.0, 0.7), x, Phase.SYMMETRY_RESTORED)
-        assert p4.coefficients == (-6.0 * 0.7 * lf.f, -2.0, 0.0, 1.0)
+        assert p4.coefficients == (-6.0 * 0.7 * factor_f(x), -2.0, 0.0, 1.0)
         b4 = gap_polynomial(OscillatorSpec(4, -2.0, 0.01), x, Phase.SPONTANEOUSLY_BROKEN)
-        assert b4.coefficients == (6.0 * 0.01 * lf.p, -4.0, 0.0, 1.0)
+        assert b4.coefficients == (6.0 * 0.01 * factor_p(x), -4.0, 0.0, 1.0)
         p6 = gap_polynomial(OscillatorSpec(6, 1.5, 0.4), x, Phase.SYMMETRY_RESTORED)
         assert p6.coefficients == (-(15.0 * 0.4 / 4.0) * (5.0 + 4.0 * x * x), 0.0, -1.5, 0.0, 1.0)
         p8 = gap_polynomial(OscillatorSpec(8, 3.0, 0.2), x, Phase.SYMMETRY_RESTORED)
-        assert p8.coefficients == (-35.0 * 0.2 * lf.h, 0.0, 0.0, -3.0, 0.0, 1.0)
+        assert p8.coefficients == (-35.0 * 0.2 * factor_h(x), 0.0, 0.0, -3.0, 0.0, 1.0)
 
 
 def test_gap_polynomial_rejections():
@@ -136,7 +135,7 @@ def test_overflowing_root_raises():
 def test_octic_root_at_huge_coupling(n):
     # Newton from the bracket midpoint runs out of steps from lam ~ 1e23 on;
     # bisection must finish the root instead of returning the last iterate
-    x = level_factors(n).x
+    x = level_x(n)
     for lam in (1e23, 1e30, 1e100, 1e300):
         spec = OscillatorSpec(8, 1.0, lam)
         w = solve_gap(spec, x, Phase.SYMMETRY_RESTORED)
@@ -144,7 +143,7 @@ def test_octic_root_at_huge_coupling(n):
         p = math.fsum(c * w**i for i, c in enumerate(coeffs))
         dp = math.fsum(i * c * w ** (i - 1) for i, c in enumerate(coeffs) if i)
         assert abs(p) <= 1e-14 * abs(w * dp)
-        assert w == pytest.approx((35.0 * level_factors(n).h * lam) ** 0.2, rel=1e-9)
+        assert w == pytest.approx((35.0 * factor_h(x) * lam) ** 0.2, rel=1e-9)
 
 
 def test_ssb_frequency_frozen_value():
@@ -165,7 +164,7 @@ def test_octic_root_for_shallow_wells(g):
     # below g = 1 the root can sit far below 1 and next to the critical
     # point 0, so it must be found to relative, not absolute, precision
     for n in (0, 7):
-        x = level_factors(n).x
+        x = level_x(n)
         for lam in (1e-300, 1e-200, 1e-100, 1e-60, 1e-20, 1e-6, 1e-2, 1.0, 1e6):
             spec = OscillatorSpec(8, g, lam)
             w = solve_gap(spec, x, Phase.SYMMETRY_RESTORED)
@@ -183,7 +182,7 @@ def test_octic_root_against_companion_matrix(g, log_lam, n):
     # the quintic has exactly one positive root (one sign change); the
     # bracketed solve must find the one np.roots finds
     spec = OscillatorSpec(8, g, 10.0**log_lam)
-    x = level_factors(n).x
+    x = level_x(n)
     want = positive_real_roots(gap_polynomial(spec, x, Phase.SYMMETRY_RESTORED).coefficients)
     assert len(want) == 1
     assert solve_gap(spec, x, Phase.SYMMETRY_RESTORED) == pytest.approx(want[0], rel=1e-9)

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from effosc.model import OscillatorSpec, hamiltonian_average, level_factors, moment
+from effosc.model import (
+    OscillatorSpec,
+    factor_f,
+    factor_h,
+    factor_p,
+    hamiltonian_average,
+    level_x,
+    moment,
+)
 from effosc.oracle import hamiltonian_matrix
 
 
@@ -41,29 +49,29 @@ def test_spec_validation():
 
 
 def test_level_factor_values():
-    lf0 = level_factors(0)
-    assert lf0.x == 0.5
-    assert lf0.f == 1.0
-    assert lf0.p == 2.0
-    assert lf0.h == 3.0
-    lf1 = level_factors(1)
-    assert lf1.x == 1.5
-    assert lf1.h == pytest.approx(9.0, abs=1e-15)
-    assert lf1.f == pytest.approx(1.5 + 1.0 / 6.0, abs=1e-15)
-    assert lf1.p == pytest.approx(7.5 - 1.0 / 6.0, abs=1e-15)
+    x0 = level_x(0)
+    assert x0 == 0.5
+    assert factor_f(x0) == 1.0
+    assert factor_p(x0) == 2.0
+    assert factor_h(x0) == 3.0
+    x1 = level_x(1)
+    assert x1 == 1.5
+    assert factor_h(x1) == pytest.approx(9.0, abs=1e-15)
+    assert factor_f(x1) == pytest.approx(1.5 + 1.0 / 6.0, abs=1e-15)
+    assert factor_p(x1) == pytest.approx(7.5 - 1.0 / 6.0, abs=1e-15)
     with pytest.raises(ValueError):
-        level_factors(-1)
+        level_x(-1)
     with pytest.raises(ValueError):
-        level_factors(1.5)
+        level_x(1.5)
 
 
 def test_level_factors_monotone():
-    prev = level_factors(0)
+    prev = level_x(0)
     for n in range(1, 60):
-        cur = level_factors(n)
-        assert cur.f > prev.f
-        assert cur.p > prev.p
-        assert cur.h > prev.h
+        cur = level_x(n)
+        assert factor_f(cur) > factor_f(prev)
+        assert factor_p(cur) > factor_p(prev)
+        assert factor_h(cur) > factor_h(prev)
         prev = cur
 
 

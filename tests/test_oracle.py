@@ -5,16 +5,8 @@ import pytest
 
 from effosc.errors import OracleConvergenceError
 from effosc.model import OscillatorSpec
-from effosc.oracle import exact_levels, hamiltonian_matrix, lowest_eigenvalues
+from effosc.oracle import exact_levels, hamiltonian_matrix
 from effosc.spectrum import level_solution
-
-
-def test_lowest_eigenvalues_trivial_matrices():
-    assert list(lowest_eigenvalues(np.eye(3), 2)) == [1.0, 1.0]
-    assert list(lowest_eigenvalues(np.diag([3.0, 1.0, 2.0]), 3)) == [1.0, 2.0, 3.0]
-    got = lowest_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]), 2)
-    assert got[0] == pytest.approx(-1.0, abs=1e-14)
-    assert got[1] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_hamiltonian_matrix_ground_diagonal():

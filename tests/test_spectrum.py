@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import reference_tables as ref
 from effosc.errors import NoPhysicalRoot, NoSSBSolution
 from effosc.gap import critical_coupling
-from effosc.model import OscillatorSpec, Phase, hamiltonian_average, level_factors
+from effosc.ipt import rs_corrections
+from effosc.model import OscillatorSpec, Phase, hamiltonian_average, level_x
 from effosc.spectrum import (
     _sextic_ssb_residual,
     cea_residual,
@@ -40,7 +41,7 @@ def test_invariant_chain():
     # w^2 = g + 2 lam A;  s = lam B / w^2;  E0 = w x + h0 = <H>;
     # residual-interaction average vanishes.
     for spec, n, sol in solution_families():
-        x = level_factors(n).x
+        x = level_x(n)
         scale = max(1.0, abs(sol.E0))
         assert sol.w > 0.0
         assert sol.w**2 == pytest.approx(spec.g + 2.0 * spec.lam * sol.A, rel=1e-11), (spec, n)
@@ -160,7 +161,7 @@ def test_sextic_residual_on_array_matches_scalar_calls():
     # displaced solver's last secant step evaluates it on floats
     for lam, n in ((0.005, 0), (0.05, 3), (0.5, 9), (0.2, 0), (1e-5, 5)):
         spec = OscillatorSpec(6, -3.0, lam)
-        x = level_factors(n).x
+        x = level_x(n)
         w_min = math.sqrt(45.0 * lam * (1.0 + 4.0 * x * x) / (4.0 * 3.0))
         grid = np.linspace(0.2 * w_min, 5.0 * w_min, 301)
         vals = _sextic_ssb_residual(grid, x, spec.g, lam)
@@ -397,3 +398,37 @@ def test_clean_reference_cells_spot():
     assert 2.0 * level_solution(OscillatorSpec(8, 1.0, 0.1), 0).E0 == pytest.approx(1.3005, abs=1e-4)
     assert 2.0 * level_solution(OscillatorSpec(6, 3.0, 0.5), 0).E0 == pytest.approx(1.9560824269169255, rel=1e-10)
     assert 2.0 * level_solution(OscillatorSpec(6, -3.0, 0.5), 1).E0 == pytest.approx(2.387215635447526, rel=1e-10)
+
+
+QUARTIC_WELL = OscillatorSpec(4, 1.0, 0.1)
+SEXTIC_DOUBLE_WELL = OscillatorSpec(6, -3.0, 0.001)
+LEVEL_ENTRY_POINTS = {
+    "level_solution": lambda n: level_solution(QUARTIC_WELL, n),
+    "phase_solution": lambda n: phase_solution(QUARTIC_WELL, n, Phase.SYMMETRY_RESTORED),
+    "sextic_ssb_solutions": lambda n: sextic_ssb_solutions(SEXTIC_DOUBLE_WELL, n),
+    "lo_energy_closed_form": lambda n: lo_energy_closed_form(QUARTIC_WELL, n, Phase.SYMMETRY_RESTORED),
+    "rs_corrections": lambda n: rs_corrections(QUARTIC_WELL, n),
+}
+
+
+def _bits(value):
+    """Value with every float replaced by its exact hex form, recursively."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return {name: _bits(getattr(value, name)) for name in value.__dataclass_fields__}
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_ENTRY_POINTS))
+def test_level_index_checked_at_entry_points(name):
+    call = LEVEL_ENTRY_POINTS[name]
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match="level index"):
+            call(bad)
+    # a numpy integer level is the same level, bit for bit
+    want = call(3)
+    assert want != []
+    assert _bits(call(np.int64(3))) == _bits(want)
