@@ -20,7 +20,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .errors import SolverError
+from .errors import SolverError, SSBUnsupported
 from .ipt import rs_corrections
 from .model import OscillatorSpec, Phase
 from .oracle import exact_levels
@@ -30,13 +30,7 @@ from .spectrum import (
     phase_solution,
     well_referenced_energy,
 )
-from .susy import (
-    ground_wavefunction,
-    ispp_residual,
-    partner_specs,
-    scaling_residual,
-    wavefunction_distance,
-)
+from .susy import ground_wavefunction, partner_specs, wavefunction_distance
 from .vacuum import effective_potential, vacuum_structure
 
 _KINDS = {
@@ -270,7 +264,11 @@ def _cmd_spectrum(args) -> int:
                 e0 = lo_energy_closed_form(spec, n, phase)
             rec = _level_record(args.kind, spec, n, sol.phase, sol.w, scale * e0, args.convention)
             if args.order > 0:
-                series = rs_corrections(spec, n, max_order=args.order, dim=args.dim)
+                if phase is Phase.SPONTANEOUSLY_BROKEN:
+                    raise SSBUnsupported(
+                        "--phase ssb: perturbative corrections are defined about an "
+                        "undisplaced solution; request --order 0")
+                series = rs_corrections(spec, n, max_order=args.order)
                 rec["corrections"] = [scale * c for c in series.corrections]
                 rec["E_ipt"] = scale * series.partial_sums[-1]
             records.append(rec)
@@ -282,7 +280,7 @@ def _cmd_ipt(args) -> int:
     records = []
     for spec in specs:
         for n in levels:
-            series = rs_corrections(spec, n, max_order=args.order, dim=args.dim)
+            series = rs_corrections(spec, n, max_order=args.order)
             sol = level_solution(spec, n)
             rec = _level_record(args.kind, spec, n, sol.phase, sol.w,
                                 scale * series.partial_sums[0], args.convention,
@@ -420,24 +418,28 @@ def _cmd_susy(args) -> int:
     _check_cells(len(b_values) * len(levels))
     units = args.convention
     scale = _scale_for(units, 6)
+    pair_1 = partner_specs(1.0)
     records = []
     for b in b_values:
         pair = partner_specs(b)
         for n in levels:
             if args.mode == "ispp":
+                # interlacing defect E_{n+1}(well) - E_n(single well), as `susy.ispp_residual`
                 aho = level_solution(pair.aho, n)
                 dwo = level_solution(pair.dwo, n + 1)
                 rec = _level_record("sextic-dwo", pair.dwo, n, dwo.phase, dwo.w,
                                     scale * dwo.E0, units, b=b)
                 rec["partner_E0"] = scale * aho.E0
-                rec["residual"] = scale * ispp_residual(b, n)
+                rec["residual"] = scale * (dwo.E0 - aho.E0)
                 records.append(rec)
             else:
-                for which, spec in (("aho", pair.aho), ("dwo", pair.dwo)):
+                # scaling defect E_n(b) - sqrt(b) E_n(1), as `susy.scaling_residual`
+                for which, spec, spec_1 in (("aho", pair.aho, pair_1.aho),
+                                            ("dwo", pair.dwo, pair_1.dwo)):
                     sol = level_solution(spec, n)
                     rec = _level_record(f"sextic-{which}", spec, n, sol.phase, sol.w,
                                         sol.E0, "half", b=b)
-                    rec["residual"] = scaling_residual(b, n, which=which)
+                    rec["residual"] = sol.E0 - math.sqrt(b) * level_solution(spec_1, n).E0
                     records.append(rec)
     meta = {"b": b_values, "levels": levels}
     # the one CSV whose order differs from the JSON's: b follows corrections there
@@ -447,8 +449,8 @@ def _cmd_susy(args) -> int:
 
 
 def _add_level_flags(parser, *, order=None) -> None:
-    """Level flags; ``order`` = (choices, default) adds ``--order`` and
-    ``--dim`` for the perturbative series."""
+    """Level flags; ``order`` = (choices, default) adds ``--order`` for the
+    perturbative series."""
     parser.add_argument("--kind", choices=sorted(_KINDS), required=True)
     parser.add_argument("--g", type=float, default=None,
                         help="curvature coefficient; sign must match --kind")
@@ -458,9 +460,6 @@ def _add_level_flags(parser, *, order=None) -> None:
     if order is not None:
         choices, default = order
         parser.add_argument("--order", type=int, choices=choices, default=default)
-        parser.add_argument("--dim", type=int, default=None,
-                            help="basis states 0..dim-1 the perturbative series may use "
-                                 "(default n + 3k + 1, exact through fourth order)")
 
 
 def _add_output_flags(parser, *, fmt="json", convention=None) -> None:

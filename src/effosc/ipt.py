@@ -16,10 +16,10 @@ states on each side, so no truncation leaks into the retained block.
 The series works on a window of states.  lam * H' couples |m> only to
 |m +- j>, j <= k, and its (n, n) element vanishes, so through fourth order
 the wavefunction corrections reach no state with |m - n| > 3k.  The
-recursion therefore runs on states [max(0, n - 3k), min(dim, n + 3k + 1)),
-at most 6k + 1 of them, and the basis-enlargement cross-check on the same
-window grown by k at the top.  Cost and memory per level do not depend on
-n or on the basis dimension.
+recursion therefore runs on states [max(0, n - 3k), n + 3k + 1), at most
+6k + 1 of them, which makes it exact, and the enlargement cross-check on
+the same window grown by k at the top.  Cost and memory per level do not
+depend on n.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ __all__ = [
 
 
 class TruncationWarning(RuntimeWarning):
-    """A correction changed when the basis was enlarged: basis too small."""
+    """A correction moved when the n +- 3k series window grew: the window was not exact."""
 
 
 @dataclass(frozen=True)
@@ -148,21 +148,19 @@ def _rs_run(v: np.ndarray, w: float, n: int, max_order: int, start: int = 0):
     return energies
 
 
-def rs_corrections(spec: OscillatorSpec, n: int, max_order: int = 4, dim=None) -> IPTSeries:
+def rs_corrections(spec: OscillatorSpec, n: int, max_order: int = 4) -> IPTSeries:
     """Rayleigh-Schrodinger corrections dE1..dE`max_order` for level n.
 
-    Default basis dimension n + 3k + 1 is exact through fourth order (the
-    residual interaction couples |m> only to |m +- j|, j <= k).  Only the
-    states |m - n| <= 3k below `dim` enter (module docstring).  The series
-    is recomputed in a basis enlarged by k; any correction that moves by
-    more than 1e-10 relative triggers a TruncationWarning.
+    The series runs on the states |m - n| <= 3k, which hold every state it
+    reaches through fourth order (module docstring); `basis_dim` reports the
+    n + 3k + 1 states from 0 that cover them.  The series is recomputed on
+    that window enlarged by k; any correction that moves by more than 1e-10
+    relative triggers a TruncationWarning.
     """
     if not (1 <= max_order <= 4):
         raise ValueError("correction order must be between 1 and 4, got %r" % (max_order,))
-    if dim is None:
-        dim = n + 3 * spec.k + 1
     sol = level_solution(spec, n)
-    lo, top = max(0, n - 3 * spec.k), min(dim, n + 3 * spec.k + 1)
+    lo, top = max(0, n - 3 * spec.k), n + 3 * spec.k + 1
     v = perturbation_matrix(spec, n, top - lo, lo)
     energies = _rs_run(v, sol.w, n, max_order, lo)
     v = perturbation_matrix(spec, n, top + spec.k - lo, lo)
@@ -172,8 +170,8 @@ def rs_corrections(spec: OscillatorSpec, n: int, max_order: int = 4, dim=None) -
         diff = abs(large - small)
         if diff > 1e-10 * max(abs(small), abs(large)) and diff > 1e-13 * scale0:
             warnings.warn(
-                "correction series changed when the basis grew from %d to %d; "
-                "increase dim" % (dim, dim + spec.k),
+                "correction series changed when its window grew by %d states: "
+                "the n +- 3k window was not exact" % spec.k,
                 TruncationWarning,
                 stacklevel=2,
             )
@@ -182,18 +180,18 @@ def rs_corrections(spec: OscillatorSpec, n: int, max_order: int = 4, dim=None) -
     for e in energies:
         sums.append(sums[-1] + e)
     return IPTSeries(
-        spec=spec, n=n, basis_dim=dim,
+        spec=spec, n=n, basis_dim=top,
         corrections=tuple(energies), partial_sums=tuple(sums),
     )
 
 
-def ipt_energy(spec: OscillatorSpec, n: int, order: int, dim=None) -> float:
+def ipt_energy(spec: OscillatorSpec, n: int, order: int) -> float:
     """Level energy through the given correction order (0 = effective oscillator)."""
     if not (0 <= order <= 4):
         raise ValueError("order must be between 0 and 4, got %r" % (order,))
     if order == 0:
         return level_solution(spec, n).E0
-    return rs_corrections(spec, n, max_order=order, dim=dim).partial_sums[order]
+    return rs_corrections(spec, n, max_order=order).partial_sums[order]
 
 
 def second_order_sum(spec: OscillatorSpec, n: int, dim=None) -> float:

@@ -72,6 +72,13 @@ def test_exit_code_usage_errors(capsys):
     code, _, err = invoke(capsys, ["spectrum", "--kind", "quartic-aho", "--g", "-1", "--lambda", "0.1", "--levels", "0"])
     assert code == 2
     assert err != ""
+    # the series window is fixed by (n, k): there is no basis-size flag
+    for argv in (["ipt", "--kind", "quartic-aho", "--lambda", "0.1", "--dim", "20"],
+                 ["spectrum", "--kind", "quartic-aho", "--lambda", "0.1", "--order", "2",
+                  "--dim", "20"]):
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --dim 20" in err
 
 
 def test_exit_code_numerical_failure(capsys):
@@ -104,6 +111,27 @@ def test_forced_ssb_on_single_well_is_invalid_request(capsys, kind, lam):
     code, out, err = invoke(capsys, ["spectrum", "--kind", kind, "--lambda", lam, "--phase", "ssb"])
     assert (code, out) == (2, "")
     assert err.startswith("effosc: invalid request: ") and "g < 0" in err
+
+
+@pytest.mark.parametrize("kind_args", [
+    ["--kind", "quartic-dwo", "--lambda", "0.09"],
+    ["--kind", "sextic-dwo", "--g", "-3", "--lambda", "0.2"],
+])
+def test_forced_ssb_series_is_refused(capsys, monkeypatch, kind_args):
+    # the series is defined about an undisplaced solution only; a forced
+    # displaced phase must not print the symmetric level's series
+    import effosc.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("rs_corrections called")
+
+    argv = ["spectrum", *kind_args, "--levels", "0", "--phase", "ssb"]
+    code, out, _ = invoke(capsys, argv)
+    assert code == 0 and json.loads(out)["records"][0]["phase"] == "SSB"
+    monkeypatch.setattr(cli, "rs_corrections", never)
+    code, out, err = invoke(capsys, argv + ["--order", "2"])
+    assert (code, out) == (3, "")
+    assert err.startswith("effosc: numerical failure: --phase ssb: ")
 
 
 def test_phase_flag(capsys):
@@ -240,6 +268,37 @@ def test_susy_subcommands(capsys):
     assert code2 == 0
     for rec in json.loads(out2)["records"]:
         assert abs(rec["residual"]) <= 1e-9
+
+
+@pytest.mark.parametrize("mode, argv, records", [
+    ("ispp", ["--b", "1", "--levels", "0..20"], 21),
+    ("scaling", ["--b", "0.5,2", "--levels", "0..4"], 20),
+])
+def test_susy_records_solve_two_levels_each(capsys, monkeypatch, mode, argv, records):
+    # a record's residual comes from the solutions it prints: the partner
+    # pair for ispp, the level and its b = 1 partner for scaling
+    import effosc.cli as cli
+    import effosc.susy as susy
+
+    calls = []
+
+    def counted(spec, n):
+        calls.append((spec, n))
+        return level_solution(spec, n)
+
+    monkeypatch.setattr(cli, "level_solution", counted)
+    monkeypatch.setattr(susy, "level_solution", counted)
+    code, out, _ = invoke(capsys, ["susy", mode, *argv])
+    assert code == 0
+    recs = json.loads(out)["records"]
+    assert (len(recs), len(calls)) == (records, 2 * records)
+    # the same residuals as the library definitions
+    for rec in recs:
+        if mode == "ispp":
+            want = 2.0 * susy.ispp_residual(rec["b"], rec["n"])
+        else:
+            want = susy.scaling_residual(rec["b"], rec["n"], rec["kind"][len("sextic-"):])
+        assert rec["residual"] == _round10(want), rec
 
 
 def test_susy_wavefunction_deterministic(capsys):

@@ -157,8 +157,10 @@ def test_basis_exactness_order_two():
     # dim >= n + k + 1 and must not move at all beyond that
     for spec, n in [(OscillatorSpec(4, 1.0, 1.0), 0), (OscillatorSpec(6, 1.0, 0.5), 2)]:
         dims = (n + spec.k + 1, n + spec.k + 9, n + 3 * spec.k + 1)
-        vals = [rs_corrections(spec, n, max_order=2, dim=d).corrections[1] for d in dims]
+        vals = [second_order_sum(spec, n, dim=d) for d in dims]
         assert vals[0] == vals[1] == vals[2], (spec, n, vals)
+        assert rs_corrections(spec, n, max_order=2).corrections[1] == pytest.approx(
+            vals[0], rel=1e-12), (spec, n)
 
 
 def test_corrections_frozen_quartic():
@@ -223,14 +225,25 @@ def test_sextic_and_octic_series_do_not_decay_at_unit_coupling(oracle):
         assert abs(got[-1] - exact) > abs(got[0] - exact), k
 
 
-def test_truncation_warning_on_small_basis():
-    with pytest.warns(TruncationWarning):
-        rs_corrections(OscillatorSpec(4, 1.0, 1.0), 0, max_order=4, dim=5)
+def test_series_window_is_quiet():
+    # the n +- 3k window holds every state the series reaches: growing it by
+    # k states moves no correction, so no warning of any kind is raised
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rs_corrections(OscillatorSpec(4, 1.0, 1.0), 0, max_order=4)  # default dim is quiet
+        for k, g in ((4, 1.0), (6, 1.0), (8, 1.0), (4, -1.0)):
+            for n in (0, 1, 7, 100):
+                rs_corrections(OscillatorSpec(k, g, 1.0), n, max_order=4)
+
+
+def test_series_window_takes_no_dimension():
+    # the window is fixed by (n, k); only the dense reference sums take a dim
+    spec = OscillatorSpec(4, 1.0, 0.1)
+    with pytest.raises(TypeError):
+        rs_corrections(spec, 0, max_order=4, dim=20)
+    with pytest.raises(TypeError):
+        ipt_energy(spec, 0, 4, dim=20)
 
 
 def test_displaced_expansion_rejected():
@@ -280,7 +293,7 @@ def test_windowed_recursion_matches_dense_sums_at_high_level():
                 assert got[order] == pytest.approx(dense[order], rel=1e-13), (k, lam, order)
 
 
-def test_series_blocks_do_not_grow_with_level_or_dim(monkeypatch):
+def test_series_blocks_do_not_grow_with_level(monkeypatch):
     import effosc.ipt as ipt_module
 
     built = []
@@ -293,10 +306,10 @@ def test_series_blocks_do_not_grow_with_level_or_dim(monkeypatch):
     monkeypatch.setattr(ipt_module, "position_power_matrix", spy)
     for k in (4, 6, 8):
         spec = OscillatorSpec(k, 1.0, 0.1)
-        for n, dim in ((10**5, None), (10**6, None), (1000, 200000)):
+        for n in (10**5, 10**6):
             built.clear()
-            series = rs_corrections(spec, n, max_order=4, dim=dim)
-            assert series.basis_dim == (dim or n + 3 * k + 1)
+            series = rs_corrections(spec, n, max_order=4)
+            assert series.basis_dim == n + 3 * k + 1
             assert all(math.isfinite(c) for c in series.partial_sums)
             # two builds for the series on the 6k+1 states |m - n| <= 3k,
             # two for the enlargement check on that window grown by k
