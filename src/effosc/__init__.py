@@ -41,7 +41,6 @@ from .oracle import (
 )
 from .spectrum import (
     EffectiveSolution,
-    cea_residual,
     level_solution,
     lo_energy_closed_form,
     phase_solution,
@@ -76,7 +75,7 @@ __all__ = [
     "GapProblem", "gap_polynomial", "critical_coupling", "solve_gap",
     "EffectiveSolution", "ssb_displacement", "potential_params",
     "level_solution", "phase_solution", "lo_energy_closed_form",
-    "well_referenced_energy", "cea_residual", "sextic_ssb_solutions",
+    "well_referenced_energy", "sextic_ssb_solutions",
     "IPTSeries", "TruncationWarning", "position_power_matrix",
     "perturbation_matrix", "rs_corrections", "ipt_energy",
     "OracleSpectrum", "hamiltonian_matrix", "exact_levels",

@@ -5,10 +5,10 @@ Output is deterministic: fixed field order, floats rounded half-even to 10
 significant digits, no timestamps.  Files are written via a temporary name and
 a final rename so a failed run leaves no partial output behind.
 
-Requests are bounded and finite: every float flag rejects inf/nan, a request
-may ask for at most ``MAX_CELLS`` cells (exit 2 for either), and an output
-holding a non-finite number, like a solve that runs out of memory, is a
-numerical failure (exit 3).
+Requests are bounded and finite: every float flag rejects inf/nan, and a
+request may ask for at most ``MAX_CELLS`` cells (exit 2 for either).  An output
+number that is not finite once rounded, in ``meta`` or in a record, is a
+numerical failure (exit 3), as is a solve that runs out of memory.
 """
 from __future__ import annotations
 
@@ -51,17 +51,24 @@ _PAPER_SCALE = {4: 1.0, 6: 2.0, 8: 2.0}
 MAX_CELLS = 1_000_000
 
 
+def _round10(value: float) -> float:
+    """Round a float to 10 significant digits (half-even): the one output rule.
+
+    A value that is not finite once rounded, like one that rounds past the
+    largest float, is a numerical failure.
+    """
+    rounded = float(format(value, ".10g"))
+    if not math.isfinite(rounded):
+        raise SolverError(f"non-finite output value {value!r} at 10 significant digits")
+    return rounded
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    return format(float(value), ".10g")
-
-
-def _round10(value: float) -> float:
-    """Round a float to 10 significant digits (half-even)."""
-    return float(format(value, ".10g"))
+    return format(_round10(value), ".10g")
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -84,10 +91,7 @@ def _json(value, indent: str = "\n") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        value = _round10(value)
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+        return float.__repr__(_round10(value))
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
@@ -208,6 +212,7 @@ def _render(meta: dict, records: list[dict], fmt: str, columns=None) -> str:
     """JSON, or CSV whose columns default to the keys all records share, in order."""
     if fmt == "json":
         return _json({"meta": meta, "records": records}) + "\n"
+    _json(meta)  # CSV prints no meta; rounding it anyway fails a request alike in both formats
     if columns is None:
         columns = list(records[0])
     lines = [",".join(columns)]
@@ -226,15 +231,7 @@ def _render(meta: dict, records: list[dict], fmt: str, columns=None) -> str:
 
 
 def _output(args, subcommand: str, meta: dict, records: list[dict], columns=None) -> int:
-    """The one output path: refuse non-finite records, stamp meta, render, emit."""
-    for index, rec in enumerate(records):
-        for key, value in rec.items():
-            if isinstance(value, float):
-                finite = math.isfinite(value)
-            else:
-                finite = not isinstance(value, list) or all(map(math.isfinite, value))
-            if not finite:
-                raise SolverError(f"non-finite {key} in output record {index}")
+    """The one output path: stamp meta, render, emit."""
     meta = {"tool": "effosc", "version": __version__, "subcommand": subcommand, **meta}
     _emit(_render(meta, records, args.format, columns), args.out)
     return 0
@@ -419,6 +416,7 @@ def _cmd_susy(args) -> int:
     units = args.convention
     scale = _scale_for(units, 6)
     pair_1 = partner_specs(1.0)
+    e0_at_1 = {}  # (partner, n) -> its b = 1 level, solved once for every b
     records = []
     for b in b_values:
         pair = partner_specs(b)
@@ -437,9 +435,12 @@ def _cmd_susy(args) -> int:
                 for which, spec, spec_1 in (("aho", pair.aho, pair_1.aho),
                                             ("dwo", pair.dwo, pair_1.dwo)):
                     sol = level_solution(spec, n)
+                    if (which, n) not in e0_at_1:
+                        at_1 = sol if spec == spec_1 else level_solution(spec_1, n)
+                        e0_at_1[which, n] = at_1.E0
                     rec = _level_record(f"sextic-{which}", spec, n, sol.phase, sol.w,
                                         sol.E0, "half", b=b)
-                    rec["residual"] = sol.E0 - math.sqrt(b) * level_solution(spec_1, n).E0
+                    rec["residual"] = sol.E0 - math.sqrt(b) * e0_at_1[which, n]
                     records.append(rec)
     meta = {"b": b_values, "levels": levels}
     # the one CSV whose order differs from the JSON's: b follows corrections there

@@ -66,7 +66,7 @@ def _position_power_diagonals(k: int, basis_w: float, dim: int):
         raise ValueError("unsupported even power %r" % (k,))
 
     def diagonals(m, power):
-        return {o: np.asarray(m.diagonal(o))[: dim - o] for o in range(0, power + 1, 2)}
+        return {o: np.asarray(m.diagonal(o))[: max(dim - o, 0)] for o in range(0, power + 1, 2)}
 
     return diagonals(f2, 2), diagonals(fk, k)
 

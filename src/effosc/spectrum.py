@@ -35,7 +35,6 @@ __all__ = [
     "sextic_ssb_solutions",
     "lo_energy_closed_form",
     "well_referenced_energy",
-    "cea_residual",
 ]
 
 
@@ -292,19 +291,3 @@ def well_referenced_energy(spec: OscillatorSpec, e0: float) -> float:
         raise ValueError("well-bottom referencing applies to quartic double wells (k=4, g<0)")
     return e0 + spec.g * spec.g / (16.0 * spec.lam)
 
-
-def cea_residual(solution: EffectiveSolution) -> float:
-    """Average of the residual interaction lam*(f^k - A f² + B f - C).
-
-    Zero to rounding by the construction of C; recomputed here from scratch
-    as an independent identity check.
-    """
-    spec = solution.spec
-    x = solution.n + 0.5
-    s, w = solution.s, solution.w
-    return spec.lam * (
-        moment(spec.k, s, w, x)
-        - solution.A * moment(2, s, w, x)
-        + solution.B * s
-        - solution.C
-    )

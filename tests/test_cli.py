@@ -5,9 +5,10 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from effosc.cli import MAX_CELLS, _fmt, _json, _round10, run
+from effosc.errors import SolverError
 from effosc.model import OscillatorSpec
 from effosc.spectrum import level_solution, well_referenced_energy
 
@@ -276,7 +277,8 @@ def test_susy_subcommands(capsys):
 ])
 def test_susy_records_solve_two_levels_each(capsys, monkeypatch, mode, argv, records):
     # a record's residual comes from the solutions it prints: the partner
-    # pair for ispp, the level and its b = 1 partner for scaling
+    # pair for ispp, the level and its b = 1 partner for scaling, solved
+    # once per (partner, n) for all the b values (2 x 5 here)
     import effosc.cli as cli
     import effosc.susy as susy
 
@@ -291,7 +293,8 @@ def test_susy_records_solve_two_levels_each(capsys, monkeypatch, mode, argv, rec
     code, out, _ = invoke(capsys, ["susy", mode, *argv])
     assert code == 0
     recs = json.loads(out)["records"]
-    assert (len(recs), len(calls)) == (records, 2 * records)
+    solves = {"ispp": 2 * records, "scaling": records + 10}[mode]
+    assert (len(recs), len(calls), len(set(calls))) == (records, solves, solves)
     # the same residuals as the library definitions
     for rec in recs:
         if mode == "ispp":
@@ -362,8 +365,18 @@ _json_payloads = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(_json_payloads)
+@example(1.7976931348e308)
+@example({"x": [1.0, -1.7976931348e308]})
 def test_json_writer_matches_json_dumps(payload):
-    assert _json(payload) == json.dumps(_round_floats(payload), indent=2)
+    # strict JSON or a numerical failure: a leaf that rounds past the largest
+    # float is refused, never spelled Infinity
+    try:
+        want = json.dumps(_round_floats(payload), indent=2, allow_nan=False)
+    except ValueError:
+        with pytest.raises(SolverError, match="non-finite output value"):
+            _json(payload)
+    else:
+        assert _json(payload) == want
 
 
 def test_octic_huge_coupling_frequency(capsys):
@@ -409,6 +422,24 @@ def test_non_finite_result_is_numerical_failure(capsys, tmp_path):
     # an overflow inside a solver is a numerical failure, not a traceback
     code, out, err = invoke(capsys, ["effective-potential", "--lambda", "1e300"])
     assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--kind", "quartic-aho", "--lambda", "1", "--levels", "0",
+     "--rel-tol", "1.7976931348e308"],
+    ["susy", "wavefunction", "--b", "1", "--grid", "1.7976931348e308,1"],
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_value_rounding_past_largest_float_is_numerical_failure(capsys, tmp_path, argv, fmt):
+    # finite requests whose 10-digit output is inf, in meta (rel_tol) or in a
+    # record (f): JSON would spell Infinity, CSV a cell that parses to inf
+    argv = argv + ["--format", fmt]
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (3, "")
+    assert "numerical failure: non-finite output value 1.7976931348e+308" in err
+    target = tmp_path / f"never.{fmt}"
+    assert invoke(capsys, argv + ["--out", str(target)])[:2] == (3, "")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("lam", ["1e200", "1e300"])

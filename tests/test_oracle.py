@@ -19,14 +19,18 @@ def test_hamiltonian_matrix_ground_diagonal():
 
 def test_hamiltonian_matrix_structure():
     for spec in (OscillatorSpec(4, 1.0, 0.5), OscillatorSpec(6, -3.0, 0.5), OscillatorSpec(8, 1.0, 0.2)):
-        m = hamiltonian_matrix(spec, 1.4, 18)
-        assert np.array_equal(m, m.T)
-        for i in range(18):
-            for j in range(18):
-                if abs(i - j) > spec.k:
-                    assert m[i, j] == 0.0
-                if (i - j) % 2 == 1:
-                    assert m[i, j] == 0.0  # even interaction preserves parity
+        full = hamiltonian_matrix(spec, 1.4, 18)
+        # 4..k+1 states: bands that reach past the block are cut off, not misaligned
+        for dim in (*range(4, spec.k + 2), 18):
+            m = hamiltonian_matrix(spec, 1.4, dim)
+            assert np.array_equal(m, full[:dim, :dim])
+            assert np.array_equal(m, m.T)
+            for i in range(dim):
+                for j in range(dim):
+                    if abs(i - j) > spec.k:
+                        assert m[i, j] == 0.0
+                    if (i - j) % 2 == 1:
+                        assert m[i, j] == 0.0  # even interaction preserves parity
 
 
 def test_parity_blocks_match_dense_diagonalization():
@@ -40,7 +44,8 @@ def test_parity_blocks_match_dense_diagonalization():
         # loose rel_tol: the comparison is block-vs-dense at the same
         # truncation, so convergence of the truncation itself is immaterial
         res = exact_levels(spec, 5, basis_w=basis_w, rel_tol=1e-6)
-        dense = np.linalg.eigvalsh(hamiltonian_matrix(spec, basis_w, res.dim))
+        # the upper triangle: at k = 8 and 192 states the lower one is 1e-8 off
+        dense = np.linalg.eigvalsh(hamiltonian_matrix(spec, basis_w, res.dim), UPLO="U")
         for got, want in zip(res.eigenvalues, dense):
             assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want))), spec
 
