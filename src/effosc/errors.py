@@ -1,5 +1,13 @@
 """Exception types shared across the solver modules."""
 
+__all__ = [
+    "SolverError",
+    "NoPhysicalRoot",
+    "NoSSBSolution",
+    "SSBUnsupported",
+    "OracleConvergenceError",
+]
+
 
 class SolverError(Exception):
     """Base class for numerical failures tied to a violated precondition."""

@@ -207,7 +207,8 @@ def solve_gap(spec: OscillatorSpec, x: float, phase: Phase) -> float:
     solves it on that interval.  Raises NoPhysicalRoot when the displaced
     quartic branch is requested above its critical coupling, ValueError for
     a displaced phase of a single well (the free oscillator included), and
-    SolverError when the root overflows.
+    SolverError when the root overflows, or is so small (0 included) that
+    w^(k/2) underflows.
     """
     g, lam, k = spec.g, spec.lam, spec.k
     if phase is Phase.SPONTANEOUSLY_BROKEN and k == 4 and g < 0.0:
@@ -217,8 +218,8 @@ def solve_gap(spec: OscillatorSpec, x: float, phase: Phase) -> float:
             raise NoPhysicalRoot(lam, lam_c)
     problem = gap_polynomial(spec, x, phase)  # validates (k, g) support
     if lam == 0.0:
-        return math.sqrt(g)  # g > 0 enforced by OscillatorSpec
-    if phase is Phase.SPONTANEOUSLY_BROKEN:
+        w = math.sqrt(g)  # g > 0 enforced by OscillatorSpec
+    elif phase is Phase.SPONTANEOUSLY_BROKEN:
         w = _newton_polish(problem.coefficients, _quartic_ssb_root(-g, lam, lam_c))
     elif k == 4:
         w = _newton_polish(problem.coefficients, _quartic_sr_root(g, problem.coefficients[0]))
@@ -232,4 +233,7 @@ def solve_gap(spec: OscillatorSpec, x: float, phase: Phase) -> float:
         w = _refine_bracket(coeffs, math.sqrt(0.6 * g), 1.0 + max(-coeffs[0], g))
     if not math.isfinite(w):
         raise SolverError("non-finite frequency %r at coupling %g, x = %g" % (w, lam, x))
+    if w < 1.0 and w ** (k // 2) == 0.0:  # the moments divide by w^(k/2)
+        raise SolverError("frequency %r at coupling %g, x = %g underflows: w^%d is 0"
+                          % (w, lam, x, k // 2))
     return w

@@ -7,11 +7,11 @@ truncated eigenvalue is a variational upper bound that decreases
 monotonically as the basis grows, so doubling the basis until the levels
 stop moving gives controlled "exact" values to compare everything against.
 
-The basis frequency only affects the convergence rate, not the limit; by
-default it is warm-started from the level-0 effective frequency.  Doubling
-stops helping once the truncation error falls below the round-off floor
+The basis frequency only affects the convergence rate, not the limit; it
+is warm-started from the level-0 effective frequency.  Doubling stops
+helping once the truncation error falls below the round-off floor
 ~eps*||H||, which grows like dim**(k/2): when the movement stops shrinking,
-the default basis is moved once to the effective frequency of the middle
+the doubling is run once more at the effective frequency of the middle
 requested level (the optimally scaled basis of Banerjee et al., Proc. R.
 Soc. A 360, 575 (1978)), which resolves the high octic levels at a size
 where that floor is still below the tolerance.  All our Hamiltonians are
@@ -36,6 +36,8 @@ __all__ = [
     "hamiltonian_matrix",
     "exact_levels",
 ]
+
+DIM_CAP = 4096  # largest parity block the doubling builds
 
 
 @dataclass(frozen=True)
@@ -111,70 +113,39 @@ def _parity_block_eigenvalues(diags, dim: int, k: int):
             o = 2 * d
             cols = np.arange(d, m)
             band[kb - d, cols] = diags[o][parity + 2 * (cols - d)]
-        merged.append(
-            scipy.linalg.eig_banded(band, lower=False, eigvals_only=True, check_finite=False)
-        )
+        try:
+            merged.append(
+                scipy.linalg.eig_banded(band, lower=False, eigvals_only=True, check_finite=False)
+            )
+        except np.linalg.LinAlgError as exc:  # a ValueError, which would read as a bad request
+            raise OracleConvergenceError(
+                "diagonalizing the %d-state basis failed: %s" % (dim, exc)) from exc
     return np.sort(np.concatenate(merged))
 
 
-def exact_levels(
-    spec: OscillatorSpec,
-    n_max: int,
-    rel_tol: float = 1e-10,
-    basis_w=None,
-    dim_cap: int = 4096,
-) -> OracleSpectrum:
-    """Eigenvalues E_0..E_{n_max}, basis-doubled until stable to rel_tol.
+def _spectrum(spec: OscillatorSpec, basis_w: float, dim: int, levels, est) -> OracleSpectrum:
+    return OracleSpectrum(
+        spec=spec,
+        basis_w=float(basis_w),
+        dim=dim,
+        eigenvalues=tuple(float(v) for v in levels),
+        convergence_estimate=tuple(float(v) for v in est) if est is not None else (),
+    )
 
-    Starts from 4*(n_max+1) basis states and doubles until every retained
-    level moves by less than rel_tol (relative, floored at unit scale)
-    between consecutive sizes.
 
-    If the worst such movement does not shrink from one doubling to the
-    next, the round-off floor (~eps*||H||, growing like dim**(k/2)) has
-    been reached and more states cannot help.  A default basis, at level
-    0's frequency, is then moved once to level n_max // 2's frequency and
-    the doubling restarts from 4*(n_max+1) states.  An explicit `basis_w`,
-    or a basis already moved, raises OracleConvergenceError at the floor.
+def _doubled_spectrum(spec: OscillatorSpec, n_max: int, rel_tol: float, basis_w: float):
+    """(spectrum, at_floor) of levels 0..n_max, doubling the frequency-basis_w basis.
 
-    `dim_cap` bounds the parity-block size: a size whose even block would
-    exceed it is not built, and OracleConvergenceError is raised instead.
-    Both errors carry the last spectrum built, if there is one.
+    Starts from 4*(n_max+1) states and doubles until every level moves by
+    less than rel_tol (relative, floored at unit scale) between consecutive
+    sizes; at_floor is False then.  If the worst such movement does not
+    shrink from one doubling to the next, the round-off floor has been
+    reached: the last spectrum is returned with at_floor True.  A size whose
+    even parity block would pass DIM_CAP is not built; OracleConvergenceError
+    is raised instead, with the last spectrum built, if there is one.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative, got %r" % (n_max,))
-    if rel_tol < 1e-12:
-        raise ValueError("rel_tol below 1e-12 is not resolvable by this solver")
-    movable = basis_w is None
-    if movable:
-        basis_w = level_solution(spec, 0).w
-    start = 4 * (n_max + 1)
-    dim, prev, est, prev_worst = start, None, None, None
-
-    def spectrum(size, levels):
-        return OracleSpectrum(
-            spec=spec,
-            basis_w=float(basis_w),
-            dim=size,
-            eigenvalues=tuple(float(v) for v in levels),
-            convergence_estimate=tuple(float(v) for v in est) if est is not None else (),
-        )
-
-    def failure(reason, size, levels):
-        return OracleConvergenceError(
-            "eigenvalues %s (worst estimate %s)"
-            % (reason, "%.3g" % float(np.max(est)) if est is not None else "unknown"),
-            spectrum=spectrum(size, levels),
-        )
-
-    while True:
-        if (dim + 1) // 2 > dim_cap:  # the even parity block would pass the cap
-            if prev is None:
-                raise OracleConvergenceError(
-                    "the %d-state starting basis exceeds the cap of %d states per parity block"
-                    % (dim, dim_cap)
-                )
-            raise failure("still moving at the %d-state cap" % (dim // 2), dim // 2, prev)
+    dim, prev, est, prev_worst = 4 * (n_max + 1), None, None, None
+    while (dim + 1) // 2 <= DIM_CAP:
         levels = _parity_block_eigenvalues(
             _hamiltonian_diagonals(spec, basis_w, dim), dim, spec.k
         )[: n_max + 1]
@@ -182,15 +153,47 @@ def exact_levels(
             est = np.abs(levels - prev)
             scale = np.maximum(1.0, np.abs(levels))
             if np.all(est < rel_tol * scale):
-                return spectrum(dim, levels)
+                return _spectrum(spec, basis_w, dim, levels, est), False
             worst = float(np.max(est / scale))
             if prev_worst is not None and worst >= prev_worst:
-                if not movable:
-                    raise failure("stopped converging at the round-off floor, %d states" % dim,
-                                  dim, levels)
-                basis_w, movable = level_solution(spec, n_max // 2).w, False
-                dim, prev, est, prev_worst = start, None, None, None
-                continue
+                return _spectrum(spec, basis_w, dim, levels, est), True
             prev_worst = worst
         prev = levels
         dim *= 2
+    if prev is None:
+        raise OracleConvergenceError(
+            "the %d-state starting basis exceeds the cap of %d states per parity block"
+            % (dim, DIM_CAP)
+        )
+    raise OracleConvergenceError(
+        "eigenvalues still moving at the %d-state cap (worst estimate %s)"
+        % (dim // 2, "%.3g" % float(np.max(est)) if est is not None else "unknown"),
+        spectrum=_spectrum(spec, basis_w, dim // 2, prev, est),
+    )
+
+
+def exact_levels(spec: OscillatorSpec, n_max: int, rel_tol: float = 1e-10) -> OracleSpectrum:
+    """Eigenvalues E_0..E_{n_max}, basis-doubled until stable to rel_tol.
+
+    Doubles the basis at level 0's effective frequency.  If that stops at
+    the round-off floor (~eps*||H||, growing like dim**(k/2)), the doubling
+    is run once more at level n_max // 2's frequency.  Raises
+    OracleConvergenceError when that basis stops at the floor too, or when
+    either reaches the cap; the error carries the last spectrum built, if
+    there is one.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative, got %r" % (n_max,))
+    if rel_tol < 1e-12:
+        raise ValueError("rel_tol below 1e-12 is not resolvable by this solver")
+    result, at_floor = _doubled_spectrum(spec, n_max, rel_tol, level_solution(spec, 0).w)
+    if at_floor:
+        mid_w = level_solution(spec, n_max // 2).w
+        result, at_floor = _doubled_spectrum(spec, n_max, rel_tol, mid_w)
+    if at_floor:
+        raise OracleConvergenceError(
+            "eigenvalues stopped converging at the round-off floor, %d states "
+            "(worst estimate %.3g)" % (result.dim, max(result.convergence_estimate)),
+            spectrum=result,
+        )
+    return result

@@ -108,10 +108,11 @@ def ground_wavefunction(kind: str, b: float, grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("grid must be a finite, non-empty sequence")
-    if kind == "susy_exact":
-        return _susy_exact_amplitude(b)(grid)
-    if kind == "effective_gaussian":
-        return _gaussian_amplitude(b)(grid)
+    with np.errstate(over="ignore"):  # far out, f^k overflows and the amplitude is 0
+        if kind == "susy_exact":
+            return _susy_exact_amplitude(b)(grid)
+        if kind == "effective_gaussian":
+            return _gaussian_amplitude(b)(grid)
     raise ValueError("kind must be 'susy_exact' or 'effective_gaussian', got %r" % (kind,))
 
 
@@ -141,8 +142,11 @@ def wavefunction_distance(b: float, grid):
         )
     psi1 = _susy_exact_amplitude(b)
     psi2 = _gaussian_amplitude(b)
-    overlap, err1 = quad(lambda f: float(psi1(f) * psi2(f)), lo, hi, epsabs=1e-12, limit=300)
-    l2sq, err2 = quad(lambda f: float((psi1(f) - psi2(f)) ** 2), lo, hi, epsabs=1e-12, limit=300)
+    with np.errstate(over="ignore"):
+        overlap, err1 = quad(lambda f: float(psi1(f) * psi2(f)), lo, hi,
+                             epsabs=1e-12, limit=300)
+        l2sq, err2 = quad(lambda f: float((psi1(f) - psi2(f)) ** 2), lo, hi,
+                          epsabs=1e-12, limit=300)
     if err1 > 1e-8 or err2 > 1e-8:
         raise ValueError("quadrature error above 1e-8; widen or refine the window")
     return float(overlap), float(math.sqrt(max(l2sq, 0.0)))

@@ -442,6 +442,52 @@ def test_value_rounding_past_largest_float_is_numerical_failure(capsys, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+_SEXTIC_TINY_W = ["--kind", "sextic-dwo", "--g", "-3", "--lambda", "1e-250", "--levels", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    # w ≈ 3e-125, so the sextic moments' w³ underflows to 0
+    ["spectrum", *_SEXTIC_TINY_W],
+    ["spectrum", *_SEXTIC_TINY_W, "--order", "2"],
+    ["ipt", *_SEXTIC_TINY_W],
+    ["oracle", *_SEXTIC_TINY_W],
+    # √(g² + 4c) overflows, which leaves w = 0
+    ["spectrum", "--kind", "sextic-dwo", "--g", "-1e300", "--lambda", "1", "--levels", "0"],
+    ["spectrum", "--kind", "sextic-aho", "--g", "1e-300", "--lambda", "0", "--levels", "0"],
+])
+def test_frequency_underflow_is_numerical_failure(capsys, argv):
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("effosc: numerical failure: frequency ")
+    assert err.endswith(", x = 0.5 underflows: w^3 is 0\n")
+
+
+@pytest.mark.parametrize("grid", ["1e100,1", "-1e100,1e100"])
+def test_susy_wavefunction_far_grid_is_quiet(capsys, grid):
+    # f⁴ and f² overflow far out, where both amplitudes are 0: no numpy
+    # warning may reach stderr (the samples, then the overlap quadrature)
+    code, out, err = invoke(capsys, ["susy", "wavefunction", "--b", "1", "--grid", grid])
+    assert (code, err) == (0, "")
+    far = [rec["psi"] for rec in json.loads(out)["records"] if abs(rec["f"]) == 1e100]
+    assert far and set(far) == {0.0}
+
+
+def test_oracle_lapack_failure_is_numerical_failure(capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, which would read as a bad request
+    # (seen for `--kind sextic-dwo --g -3 --lambda 1e-200`: sbevd info=834)
+    import numpy as np
+    import scipy.linalg
+
+    def unconverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("sbevd did not converge (LAPACK info=834)")
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", unconverged)
+    code, out, err = invoke(capsys, ["oracle", "--kind", "quartic-aho", "--lambda", "1"])
+    assert (code, out) == (3, "")
+    assert err == ("effosc: numerical failure: diagonalizing the 4-state basis failed: "
+                   "sbevd did not converge (LAPACK info=834)\n")
+
+
 @pytest.mark.parametrize("lam", ["1e200", "1e300"])
 def test_vacuum_overflow_is_numerical_failure(capsys, lam):
     code, out, err = invoke(capsys, ["vacuum", "--lambda", lam])

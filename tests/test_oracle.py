@@ -3,10 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import effosc.oracle as oracle_module
 from effosc.errors import OracleConvergenceError
 from effosc.model import OscillatorSpec
 from effosc.oracle import exact_levels, hamiltonian_matrix
 from effosc.spectrum import level_solution
+
+
+def _doubled(spec, n_max, rel_tol, basis_w):
+    """The oracle's doubling in one explicit basis, which must converge there."""
+    res, at_floor = oracle_module._doubled_spectrum(spec, n_max, rel_tol, basis_w)
+    assert not at_floor
+    return res
 
 
 def test_hamiltonian_matrix_ground_diagonal():
@@ -43,7 +51,7 @@ def test_parity_blocks_match_dense_diagonalization():
     ]:
         # loose rel_tol: the comparison is block-vs-dense at the same
         # truncation, so convergence of the truncation itself is immaterial
-        res = exact_levels(spec, 5, basis_w=basis_w, rel_tol=1e-6)
+        res = _doubled(spec, 5, 1e-6, basis_w)
         # the upper triangle: at k = 8 and 192 states the lower one is 1e-8 off
         dense = np.linalg.eigvalsh(hamiltonian_matrix(spec, basis_w, res.dim), UPLO="U")
         for got, want in zip(res.eigenvalues, dense):
@@ -68,8 +76,8 @@ def test_ground_state_variational_bound():
 def test_basis_frequency_independence():
     spec = OscillatorSpec(4, 1.0, 1.0)
     a = exact_levels(spec, 6)  # default basis_w from the level-0 solution
-    b = exact_levels(spec, 6, basis_w=1.0)
-    c = exact_levels(spec, 6, basis_w=3.0)
+    b = _doubled(spec, 6, 1e-10, 1.0)
+    c = _doubled(spec, 6, 1e-10, 3.0)
     for i in range(7):
         scale = max(1.0, abs(a.eigenvalues[i]))
         assert abs(a.eigenvalues[i] - b.eigenvalues[i]) < 1e-8 * scale
@@ -111,17 +119,16 @@ def test_input_validation():
         exact_levels(spec, 0, rel_tol=1e-13)
 
 
-def test_dimension_cap_raises_with_partial_spectrum():
+def test_dimension_cap_raises_with_partial_spectrum(monkeypatch):
+    monkeypatch.setattr(oracle_module, "DIM_CAP", 32)
     with pytest.raises(OracleConvergenceError) as err:
-        exact_levels(OscillatorSpec(4, 1.0, 100.0), 40, dim_cap=32)
+        exact_levels(OscillatorSpec(4, 1.0, 100.0), 40)
     part = err.value.spectrum
     if part is not None:
         assert len(part.eigenvalues) == 41
 
 
 def _counting_blocks(monkeypatch):
-    import effosc.oracle as oracle_module
-
     dims = []
     real = oracle_module._parity_block_eigenvalues
 
@@ -137,12 +144,15 @@ def test_dimension_cap_bounds_the_parity_block(monkeypatch):
     # quartic lam=100 converges at 656 states, whose even block has 328
     spec = OscillatorSpec(4, 1.0, 100.0)
     dims = _counting_blocks(monkeypatch)
+    monkeypatch.setattr(oracle_module, "DIM_CAP", 81)  # the 164-state start has blocks of 82
     with pytest.raises(OracleConvergenceError) as err:
-        exact_levels(spec, 40, dim_cap=81)  # the 164-state start has blocks of 82
+        exact_levels(spec, 40)
     assert err.value.spectrum is None and dims == []
-    assert exact_levels(spec, 40, dim_cap=328).dim == 656
+    monkeypatch.setattr(oracle_module, "DIM_CAP", 328)
+    assert exact_levels(spec, 40).dim == 656
+    monkeypatch.setattr(oracle_module, "DIM_CAP", 327)
     with pytest.raises(OracleConvergenceError) as err:
-        exact_levels(spec, 40, dim_cap=327)
+        exact_levels(spec, 40)
     part = err.value.spectrum
     assert part.dim == 328
     assert len(part.eigenvalues) == len(part.convergence_estimate) == 41
@@ -153,10 +163,9 @@ def test_explicit_basis_stops_at_the_round_off_floor(monkeypatch):
     # states; the doubling must stop there, not run on to the cap
     spec = OscillatorSpec(8, 1.0, 1.0)
     dims = _counting_blocks(monkeypatch)
-    with pytest.raises(OracleConvergenceError, match="round-off floor") as err:
-        exact_levels(spec, 14, basis_w=level_solution(spec, 0).w)
+    part, at_floor = oracle_module._doubled_spectrum(spec, 14, 1e-10, level_solution(spec, 0).w)
+    assert at_floor
     assert max(dims) <= 960 and len(dims) <= 5
-    part = err.value.spectrum
     assert part.dim == max(dims)
     assert part.basis_w == level_solution(spec, 0).w
     assert len(part.eigenvalues) == len(part.convergence_estimate) == 15
@@ -171,6 +180,23 @@ def test_default_basis_moves_to_mid_spectrum_at_the_floor(monkeypatch):
     assert dims[-3:] == [60, 120, 240]  # restarted from 4 (n_max + 1) states
     assert max(dims) <= 960
     assert max(res.convergence_estimate) < 1e-10
+
+
+def test_floor_in_the_moved_basis_raises_with_its_spectrum(monkeypatch):
+    # a floor in both bases is an error, reported with the moved basis's spectrum
+    spec = OscillatorSpec(8, 1.0, 1.0)
+    real = oracle_module._doubled_spectrum
+    bases = []
+
+    def always_at_floor(spec, n_max, rel_tol, basis_w):
+        bases.append(basis_w)
+        return real(spec, n_max, rel_tol, basis_w)[0], True
+
+    monkeypatch.setattr(oracle_module, "_doubled_spectrum", always_at_floor)
+    with pytest.raises(OracleConvergenceError, match="round-off floor, 240 states") as err:
+        exact_levels(spec, 14)
+    assert bases == [level_solution(spec, 0).w, level_solution(spec, 7).w]
+    assert err.value.spectrum.basis_w == bases[-1] and err.value.spectrum.dim == 240
 
 
 # The oracle runs on the published grids, with the dimension each converges
