@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from itertools import islice
 
 from . import __version__
 from .errors import SolverError, SSBUnsupported
@@ -25,6 +26,8 @@ from .ipt import rs_corrections
 from .model import OscillatorSpec, Phase
 from .oracle import exact_levels
 from .spectrum import (
+    LevelGrid,
+    level_grid,
     level_solution,
     lo_energy_closed_form,
     phase_solution,
@@ -163,11 +166,9 @@ def _parse_levels(text: str) -> list[int]:
 
 
 def _level_grid(args, **meta_fields):
-    """``(specs, levels, scale, meta)`` of a level command's coupling x level grid.
+    """``(k, g, lams, levels, scale, meta)`` of a level command's coupling x level grid.
 
-    ``specs`` builds one spec per coupling as it is iterated, so an invalid
-    coupling fails when its turn comes; ``meta_fields`` sit between
-    ``levels`` and ``convention`` in ``meta``.
+    ``meta_fields`` sit between ``levels`` and ``convention`` in ``meta``.
     """
     k, sign = _KINDS[args.kind]
     if args.g is None:
@@ -181,10 +182,9 @@ def _level_grid(args, **meta_fields):
             )
     lams, levels = _parse_float_list(args.lam), _parse_levels(args.levels)
     _check_cells(len(lams) * len(levels))
-    specs = (OscillatorSpec(k, g, lam) for lam in lams)
     meta = {"kind": args.kind, "g": g, "lambda": lams, "levels": levels, **meta_fields,
             "convention": args.convention}
-    return specs, levels, _scale_for(args.convention, k), meta
+    return k, g, lams, levels, _scale_for(args.convention, k), meta
 
 
 def _scale_for(convention: str, k: int) -> float:
@@ -208,100 +208,187 @@ def _emit(text: str, out_path) -> None:
         raise
 
 
-def _render(meta: dict, records: list[dict], fmt: str, columns=None) -> str:
-    """JSON, or CSV whose columns default to the keys all records share, in order."""
+def _columns(records: list[dict]) -> dict:
+    """Records as columns: each key of the first record with its values in order."""
+    return {key: [rec[key] for rec in records] for key in records[0]} if records else {}
+
+
+_RECORD_INDENT = "\n      "  # the depth of a record's values in the JSON document
+
+
+def _column_texts(values: list, fmt: str) -> list[str]:
+    """Each value's text in one pass over the column: as `_json` writes it in a
+    record, or as its CSV cell (10-digit numbers, lists joined by ';')."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return _float_texts(values, fmt)
+    if kinds == {str} and fmt != "json":
+        return values
+    if kinds == {str} or kinds == {int}:  # few distinct values: one text object each
+        text_of = {v: (_json_str if kinds == {str} else int.__repr__)(v) for v in set(values)}
+        return list(map(text_of.__getitem__, values))
+    if kinds <= {list, tuple}:
+        flat = [v for value in values for v in value]
+        if set(map(type, flat)) <= {float}:
+            texts = iter(_float_texts(flat, fmt))
+            if fmt != "json":
+                return [";".join(islice(texts, len(value))) for value in values]
+            inner = _RECORD_INDENT + "  "
+            return ["[" + inner + ("," + inner).join(islice(texts, len(value))) + _RECORD_INDENT + "]"
+                    if value else "[]" for value in values]
     if fmt == "json":
-        return _json({"meta": meta, "records": records}) + "\n"
-    _json(meta)  # CSV prints no meta; rounding it anyway fails a request alike in both formats
-    if columns is None:
-        columns = list(records[0])
-    lines = [",".join(columns)]
-    for rec in records:
-        cells = []
-        for col in columns:
-            value = rec.get(col, "")
-            if isinstance(value, (list, tuple)):
-                cells.append(";".join(_fmt(v) for v in value))
-            elif isinstance(value, (int, float)):
-                cells.append(_fmt(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        return [_json(v, _RECORD_INDENT) for v in values]
+    return [";".join(map(_fmt, v)) if isinstance(v, (list, tuple))
+            else _fmt(v) if isinstance(v, (int, float)) else str(v) for v in values]
 
 
-def _output(args, subcommand: str, meta: dict, records: list[dict], columns=None) -> int:
+def _float_texts(values: list[float], fmt: str) -> list[str]:
+    """`_round10` of a column of floats, written for JSON or CSV; a run of one
+    float object (a coupling repeated over its levels) is rounded once."""
+    write = float.__repr__ if fmt == "json" else "{:.10g}".format
+    texts, last, text = [], None, None
+    for value in values:
+        if value is not last:
+            last, text = value, write(_round10(value))
+        texts.append(text)
+    return texts
+
+
+def _render(meta: dict, table: dict, fmt: str, columns=None) -> str:
+    """JSON, or CSV whose columns default to the table's, in order.
+
+    `table` maps each record key to its column of values.  Each column is
+    encoded in one pass and every record is filled into one template made
+    from the key list.  The first value that is not finite once rounded, in
+    record order, fails the request, as in the per-value writer `_json`.
+    """
+    # CSV prints no meta; rounding it anyway fails a request alike in both formats
+    meta_text = _json(meta, "\n  ")
+    keys = list(table) if columns is None or fmt == "json" else columns
+    try:
+        cells = [_column_texts(table[key], fmt) for key in keys]
+    except SolverError:
+        for row in zip(*(table[key] for key in keys)):
+            for value in row:
+                _json(value)  # raises for the first value in record order
+        raise
+    if fmt == "json":
+        fields = ",".join("\n      " + _json_str(key).replace("%", "%%") + ": %s" for key in keys)
+        template = "{" + fields + "\n    }"
+        records = [template % row for row in zip(*cells)]
+        del cells
+        head = '{\n  "meta": ' + meta_text + ',\n  "records": '
+        if not records:
+            return head + "[]\n}\n"
+        return "".join([head, "[\n    ", ",\n    ".join(records), "\n  ]\n}\n"])
+    template = ",".join(["%s"] * len(keys))
+    lines = [",".join(keys)] + [template % row for row in zip(*cells)]
+    del cells
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _output(args, subcommand: str, meta: dict, table: dict, columns=None) -> int:
     """The one output path: stamp meta, render, emit."""
     meta = {"tool": "effosc", "version": __version__, "subcommand": subcommand, **meta}
-    _emit(_render(meta, records, args.format, columns), args.out)
+    _emit(_render(meta, table, args.format, columns), args.out)
     return 0
 
 
-def _level_record(kind, spec, n, phase, w, e0, convention, corrections=(), **after_lambda) -> dict:
-    """The fields every level record opens with; ``after_lambda`` fields
-    (``lambda_table``, ``b``) sit between ``lambda`` and ``n``."""
-    return {
-        "kind": kind, "g": spec.g, "lambda": spec.lam, **after_lambda, "n": n,
-        "phase": phase.value, "convention": convention, "w": w, "E0": e0,
-        "corrections": list(corrections),
-    }
+def _level_record(kind, g, lam, n, phase, convention, w, e0, corrections, **after_lambda) -> dict:
+    """The fields every level record opens with, in order; ``after_lambda``
+    fields (``lambda_table``, ``b``) sit between ``lambda`` and ``n``.  Each
+    value is one record's, or a grid's column of them."""
+    return {"kind": kind, "g": g, "lambda": lam, **after_lambda, "n": n, "phase": phase,
+            "convention": convention, "w": w, "E0": e0, "corrections": corrections}
+
+
+_PHASE_VALUE = {phase: phase.value for phase in Phase}
+
+
+def _grid_table(kind, g, lams, levels, grid, convention, scale=1.0, **after_lambda) -> dict:
+    """The level columns of a solved coupling-major grid; ``after_lambda``
+    values are per coupling."""
+    size, width = len(lams) * len(levels), len(levels)
+    per_row = {key: [v for v in values for _ in levels] for key, values in after_lambda.items()}
+    return _level_record(
+        [kind] * size, [g] * size, [lam for lam in lams for _ in levels], list(levels) * len(lams),
+        [_PHASE_VALUE[phase] for phase in grid.phase], [convention] * size, grid.w,
+        grid.E0 if scale == 1.0 else [scale * e0 for e0 in grid.E0], [[]] * size, **per_row)
+
+
+def _forced_grid(k, g, lams, levels, phase) -> LevelGrid:
+    """The grid of one forced phase: w from `phase_solution`, E0 from its closed
+    form, cell by cell up to the first failure."""
+    grid = LevelGrid(phase=[phase] * (len(lams) * len(levels)), w=[], E0=[], failures={})
+    for lam in lams:
+        try:
+            spec = OscillatorSpec(k, g, lam)
+            for n in levels:
+                w = phase_solution(spec, n, phase).w
+                grid.E0.append(lo_energy_closed_form(spec, n, phase))
+                grid.w.append(w)
+        except Exception as exc:  # raised when the record loop reaches the cell
+            grid.failures[len(grid.E0)] = exc
+            break
+    return grid
 
 
 def _cmd_spectrum(args) -> int:
-    specs, levels, scale, meta = _level_grid(args, order=args.order)
+    k, g, lams, levels, scale, meta = _level_grid(args, order=args.order)
     phase = None if args.phase == "auto" else Phase(args.phase.upper())
-    records = []
-    for spec in specs:
-        for n in levels:
-            if phase is None:
-                sol = level_solution(spec, n)
-                e0 = sol.E0
-            else:
-                sol = phase_solution(spec, n, phase)
-                e0 = lo_energy_closed_form(spec, n, phase)
-            rec = _level_record(args.kind, spec, n, sol.phase, sol.w, scale * e0, args.convention)
-            if args.order > 0:
-                if phase is Phase.SPONTANEOUSLY_BROKEN:
-                    raise SSBUnsupported(
-                        "--phase ssb: perturbative corrections are defined about an "
-                        "undisplaced solution; request --order 0")
-                series = rs_corrections(spec, n, max_order=args.order)
-                rec["corrections"] = [scale * c for c in series.corrections]
-                rec["E_ipt"] = scale * series.partial_sums[-1]
-            records.append(rec)
-    return _output(args, "spectrum", meta, records)
+    grid = level_grid(k, g, lams, levels) if phase is None else _forced_grid(k, g, lams, levels, phase)
+    if args.order == 0:
+        grid.raise_failure()
+        return _output(args, "spectrum", meta, _grid_table(
+            args.kind, g, lams, levels, grid, args.convention, scale))
+    corrections, e_ipt = [], []
+    for i, (lam, n) in enumerate((lam, n) for lam in lams for n in levels):
+        grid.raise_failure(i)
+        if phase is Phase.SPONTANEOUSLY_BROKEN:
+            raise SSBUnsupported(
+                "--phase ssb: perturbative corrections are defined about an "
+                "undisplaced solution; request --order 0")
+        series = rs_corrections(OscillatorSpec(k, g, lam), n, max_order=args.order)
+        corrections.append([scale * c for c in series.corrections])
+        e_ipt.append(scale * series.partial_sums[-1])
+    table = _grid_table(args.kind, g, lams, levels, grid, args.convention, scale)
+    table["corrections"], table["E_ipt"] = corrections, e_ipt
+    return _output(args, "spectrum", meta, table)
 
 
 def _cmd_ipt(args) -> int:
-    specs, levels, scale, meta = _level_grid(args, order=args.order)
+    k, g, lams, levels, scale, meta = _level_grid(args, order=args.order)
     records = []
-    for spec in specs:
+    for lam in lams:
+        spec = OscillatorSpec(k, g, lam)
         for n in levels:
             series = rs_corrections(spec, n, max_order=args.order)
             sol = level_solution(spec, n)
-            rec = _level_record(args.kind, spec, n, sol.phase, sol.w,
-                                scale * series.partial_sums[0], args.convention,
+            rec = _level_record(args.kind, g, lam, n, sol.phase.value, args.convention, sol.w,
+                                scale * series.partial_sums[0],
                                 [scale * c for c in series.corrections])
             rec["partial_sums"] = [scale * p for p in series.partial_sums]
             rec["basis_dim"] = series.basis_dim
             records.append(rec)
-    return _output(args, "ipt", meta, records)
+    return _output(args, "ipt", meta, _columns(records))
 
 
 def _cmd_oracle(args) -> int:
-    specs, levels, scale, meta = _level_grid(args, rel_tol=_finite_float(args.rel_tol))
+    k, g, lams, levels, scale, meta = _level_grid(args, rel_tol=_finite_float(args.rel_tol))
     records = []
-    for spec in specs:
+    for lam in lams:
+        spec = OscillatorSpec(k, g, lam)
         spectrum = exact_levels(spec, max(levels), rel_tol=meta["rel_tol"])
         for n in levels:
             sol = level_solution(spec, n)
-            rec = _level_record(args.kind, spec, n, sol.phase, sol.w, scale * sol.E0,
-                                args.convention)
+            rec = _level_record(args.kind, g, lam, n, sol.phase.value, args.convention, sol.w,
+                                scale * sol.E0, [])
             rec["oracle"] = scale * spectrum.eigenvalues[n]
             rec["oracle_convergence"] = scale * spectrum.convergence_estimate[n]
             rec["basis_dim"] = spectrum.dim
             records.append(rec)
-    return _output(args, "oracle", meta, records)
+    return _output(args, "oracle", meta, _columns(records))
 
 
 # --- published-table reproduction -------------------------------------------
@@ -338,27 +425,30 @@ _TABLES = {
 _TABLE4_LEVELS = range(20)
 
 
-def table_records(table_id: int) -> list[dict]:
-    """Record list for one published table, in row-major printed order."""
+def table_records(table_id: int) -> dict:
+    """One published table's columns, in row-major printed order."""
     if table_id == 4:
         pair = partner_specs(1.0)
-        cells = [("sextic-aho", pair.aho, pair.aho.lam, n) for n in _TABLE4_LEVELS]
-        cells += [("sextic-dwo", pair.dwo, pair.dwo.lam, n + 1) for n in _TABLE4_LEVELS]
+        parts = [("sextic-aho", pair.aho, list(_TABLE4_LEVELS)),
+                 ("sextic-dwo", pair.dwo, [n + 1 for n in _TABLE4_LEVELS])]
+        parts = [(kind, 6, spec.g, [spec.lam], [spec.lam], levels) for kind, spec, levels in parts]
         value_of = _doubled
     elif table_id in _TABLES:
         kind, k, g, lam_per_table, lams, levels, value_of = _TABLES[table_id]
-        cells = [(kind, OscillatorSpec(k, g, lam_per_table * lam), lam, n)
-                 for lam in lams for n in levels]
+        parts = [(kind, k, g, [lam_per_table * lam for lam in lams], lams, levels)]
     else:
         raise ValueError(f"unknown table id {table_id}")
-    records = []
-    for kind, spec, lam_table, n in cells:
-        sol = level_solution(spec, n)
-        rec = _level_record(kind, spec, n, sol.phase, sol.w, sol.E0,
-                            f"paper-table-{table_id}", lambda_table=lam_table)
-        rec["value"] = value_of(spec, sol.E0)
-        records.append(rec)
-    return records
+    table = {}
+    for kind, k, g, lams, lams_table, levels in parts:
+        grid = level_grid(k, g, lams, levels)
+        grid.raise_failure()
+        part = _grid_table(kind, g, lams, levels, grid, f"paper-table-{table_id}",
+                           lambda_table=lams_table)
+        specs = [OscillatorSpec(k, g, lam) for lam in lams for _ in levels]
+        part["value"] = [value_of(spec, e0) for spec, e0 in zip(specs, grid.E0)]
+        for key, column in part.items():
+            table.setdefault(key, []).extend(column)
+    return table
 
 
 def _cmd_table(args) -> int:
@@ -371,12 +461,12 @@ def _cmd_vacuum(args) -> int:
     records = []
     for lam in lams:
         vac = vacuum_structure(lam)
-        rec = _level_record("quartic-aho", OscillatorSpec(4, 1.0, lam), 0,
-                            Phase.SYMMETRY_RESTORED, vac.w, vac.E0, "half")
+        rec = _level_record("quartic-aho", 1.0, lam, 0, Phase.SYMMETRY_RESTORED.value, "half",
+                            vac.w, vac.E0, [])
         rec.update(w0=vac.w0, alpha=vac.alpha, n0=vac.n0, E0_pert=vac.E0_pert,
                    stability_gap=vac.E0 - vac.E0_pert)
         records.append(rec)
-    return _output(args, "vacuum", {"lambda": lams}, records)
+    return _output(args, "vacuum", {"lambda": lams}, _columns(records))
 
 
 def _cmd_effective_potential(args) -> int:
@@ -390,7 +480,7 @@ def _cmd_effective_potential(args) -> int:
         for lam in lams for s in s_values
     ]
     meta = {"lambda": lams, "grid": [s_values[0], s_values[-1]]}
-    return _output(args, "effective-potential", meta, records)
+    return _output(args, "effective-potential", meta, _columns(records))
 
 
 def _cmd_susy(args) -> int:
@@ -409,7 +499,7 @@ def _cmd_susy(args) -> int:
             meta["overlap"], meta["l2_distance"] = wavefunction_distance(b_values[0], grid)
         except ValueError:
             meta["overlap"] = meta["l2_distance"] = None
-        return _output(args, "susy-wavefunction", meta, records)
+        return _output(args, "susy-wavefunction", meta, _columns(records))
 
     levels = _parse_levels(args.levels)
     _check_cells(len(b_values) * len(levels))
@@ -425,8 +515,8 @@ def _cmd_susy(args) -> int:
                 # interlacing defect E_{n+1}(well) - E_n(single well), as `susy.ispp_residual`
                 aho = level_solution(pair.aho, n)
                 dwo = level_solution(pair.dwo, n + 1)
-                rec = _level_record("sextic-dwo", pair.dwo, n, dwo.phase, dwo.w,
-                                    scale * dwo.E0, units, b=b)
+                rec = _level_record("sextic-dwo", pair.dwo.g, pair.dwo.lam, n, dwo.phase.value,
+                                    units, dwo.w, scale * dwo.E0, [], b=b)
                 rec["partner_E0"] = scale * aho.E0
                 rec["residual"] = scale * (dwo.E0 - aho.E0)
                 records.append(rec)
@@ -438,15 +528,15 @@ def _cmd_susy(args) -> int:
                     if (which, n) not in e0_at_1:
                         at_1 = sol if spec == spec_1 else level_solution(spec_1, n)
                         e0_at_1[which, n] = at_1.E0
-                    rec = _level_record(f"sextic-{which}", spec, n, sol.phase, sol.w,
-                                        sol.E0, "half", b=b)
+                    rec = _level_record(f"sextic-{which}", spec.g, spec.lam, n, sol.phase.value,
+                                        "half", sol.w, sol.E0, [], b=b)
                     rec["residual"] = sol.E0 - math.sqrt(b) * e0_at_1[which, n]
                     records.append(rec)
     meta = {"b": b_values, "levels": levels}
     # the one CSV whose order differs from the JSON's: b follows corrections there
     columns = [key for key in records[0] if key != "b"]
     columns.insert(columns.index("corrections") + 1, "b")
-    return _output(args, f"susy-{args.mode}", meta, records, columns)
+    return _output(args, f"susy-{args.mode}", meta, _columns(records), columns)
 
 
 def _add_level_flags(parser, *, order=None) -> None:

@@ -16,13 +16,17 @@ the level.
 The cubic and biquadratic conditions are solved in closed form, followed by
 a Newton polish against the exact polynomial.  The octic quintic has
 exactly one positive root (g >= 0, one sign change), which a Newton
-iteration safeguarded by its sign-change bracket finds directly.
+iteration safeguarded by its sign-change bracket finds directly.  The
+polish and the bracketed Newton also run on arrays of cells, step for step
+as on one (`spectrum.level_grid`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NoPhysicalRoot, SolverError
 from .model import OscillatorSpec, Phase, factor_f, factor_h, factor_p
@@ -53,15 +57,8 @@ def gap_polynomial(spec: OscillatorSpec, x: float, phase: Phase) -> GapProblem:
     """Coefficient vector of the frequency condition for (spec, x, phase)."""
     if not (x > 0.0):
         raise ValueError("level factor x must be positive, got %r" % (x,))
-    g, lam, k = spec.g, spec.lam, spec.k
-    if phase is Phase.SYMMETRY_RESTORED:
-        if k == 4:
-            coeffs = (-6.0 * lam * factor_f(x), -g, 0.0, 1.0)
-        elif k == 6:
-            coeffs = (-(15.0 * lam / 4.0) * (5.0 + 4.0 * x * x), 0.0, -g, 0.0, 1.0)
-        else:
-            coeffs = (-35.0 * lam * factor_h(x), 0.0, 0.0, -g, 0.0, 1.0)
-    elif phase is Phase.SPONTANEOUSLY_BROKEN:
+    g, k = spec.g, spec.k
+    if phase is Phase.SPONTANEOUSLY_BROKEN:
         if g >= 0.0:
             raise ValueError("a displaced (broken-symmetry) solution requires g < 0")
         if k != 4:
@@ -69,10 +66,34 @@ def gap_polynomial(spec: OscillatorSpec, x: float, phase: Phase) -> GapProblem:
                 "no fixed-polynomial frequency condition for the displaced k=%d well; "
                 "use `spectrum.sextic_ssb_solutions`" % k
             )
-        coeffs = (6.0 * lam * factor_p(x), 2.0 * g, 0.0, 1.0)
-    else:
+    elif phase is not Phase.SYMMETRY_RESTORED:
         raise ValueError("unknown phase %r" % (phase,))
+    coeffs = _coefficients(k, g, spec.lam, _level_factor(k, phase, x), phase)
     return GapProblem(spec=spec, x=x, phase=phase, coefficients=coeffs)
+
+
+def _level_factor(k: int, phase: Phase, x: float) -> float:
+    """The level's factor in the condition's constant term: f(x), 5 + 4x² or
+    h(x) undisplaced, p(x) displaced."""
+    if phase is Phase.SPONTANEOUSLY_BROKEN:
+        return factor_p(x)
+    if k == 4:
+        return factor_f(x)
+    if k == 6:
+        return 5.0 + 4.0 * x * x
+    return factor_h(x)
+
+
+def _coefficients(k: int, g: float, lam, factor, phase: Phase) -> tuple:
+    """Ascending coefficients of the (k, phase) condition; elementwise in lam
+    and the level factor, so arrays of cells give every cell's polynomial."""
+    if phase is Phase.SPONTANEOUSLY_BROKEN:
+        return (6.0 * lam * factor, 2.0 * g, 0.0, 1.0)
+    if k == 4:
+        return (-6.0 * lam * factor, -g, 0.0, 1.0)
+    if k == 6:
+        return (-(15.0 * lam / 4.0) * factor, 0.0, -g, 0.0, 1.0)
+    return (-35.0 * lam * factor, 0.0, 0.0, -g, 0.0, 1.0)
 
 
 def critical_coupling(g: float, x: float) -> float:
@@ -135,6 +156,11 @@ def _refine_bracket(coeffs, a, b):
             return tn
         t = tn
     # Newton budget spent (a start far above a huge root): bisect the bracket
+    return _bisect(coeffs, a, fa, b)
+
+
+def _bisect(coeffs, a, fa, b):
+    """Root of the polynomial by bisection of [a, b], where it has the sign of fa at a."""
     while True:
         t = 0.5 * (a + b)
         if not (a < t < b):
@@ -146,6 +172,53 @@ def _refine_bracket(coeffs, a, b):
             a = t
         else:
             b = t
+
+
+def _refine_brackets(coeffs, a, b):
+    """`_refine_bracket` on an array of brackets [a, b], one per cell.
+
+    `coeffs` holds floats and per-cell arrays.  Each cell takes the scalar
+    solver's steps and stops, in the same floating-point operations; a cell
+    still open after the 200 Newton steps finishes on the scalar bisection.
+    """
+    b = np.asarray(b, dtype=float)
+    a = np.broadcast_to(np.asarray(a, dtype=float), b.shape).copy()
+    root = np.empty_like(b)
+    cell = np.arange(b.size)
+    fa = _poly_eval(coeffs, a)
+    at_a, at_b = fa == 0.0, _poly_eval(coeffs, b) == 0.0
+    root[at_a] = a[at_a]
+    at_b &= ~at_a
+    root[at_b] = b[at_b]
+    keep = ~(at_a | at_b)
+    cell, a, fa, b = cell[keep], a[keep], fa[keep], b[keep]
+    t = 0.5 * (a + b)
+    for _ in range(200):
+        if not cell.size:
+            return root
+        c = _take(coeffs, cell)
+        ft = _poly_eval(c, t)
+        hit = ft == 0.0
+        root[cell[hit]] = t[hit]
+        same = (ft < 0.0) == (fa < 0.0)
+        a, fa, b = np.where(same, t, a), np.where(same, ft, fa), np.where(same, b, t)
+        dft = _poly_eval(_poly_derivative(c), t)
+        tn = np.where(dft != 0.0, t - ft / dft, 0.5 * (a + b))
+        tn = np.where((a < tn) & (tn < b), tn, 0.5 * (a + b))
+        done = ~hit & (np.abs(tn - t) <= 5e-16 * np.abs(tn))
+        root[cell[done]] = tn[done]
+        keep = ~(hit | done)
+        cell, a, fa, b, t = cell[keep], a[keep], fa[keep], b[keep], tn[keep]
+    for i, j in enumerate(cell.tolist()):
+        root[j] = _bisect(_take(coeffs, j), a[i].item(), fa[i].item(), b[i].item())
+    return root
+
+
+def _take(coeffs, index):
+    """The coefficients of the cells at `index`: per-cell arrays are indexed, and
+    an int index gives that cell's coefficients as floats."""
+    return [(a[index].item() if isinstance(index, int) else a[index])
+            if isinstance(a, np.ndarray) else a for a in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +236,14 @@ def _quartic_sr_root(g: float, q0: float) -> float:
     r = math.sqrt(-p / 3.0)
     cosarg = max(-1.0, min(1.0, (-0.5 * q) / r**3))
     return 2.0 * r * math.cos(math.acos(cosarg) / 3.0)
+
+
+def _sextic_sr_root(g: float, c0, sqrt=math.sqrt):
+    """Positive root of the biquadratic w^4 - g w^2 + c0 = 0 with c0 <= 0, taken
+    without cancellation; elementwise in c0 with ``sqrt=np.sqrt``."""
+    c = -c0
+    disc = sqrt(g * g + 4.0 * c)
+    return sqrt(0.5 * (g + disc) if g >= 0.0 else 2.0 * c / (disc - g))
 
 
 def _quartic_ssb_root(G: float, lam: float, lam_c: float) -> float:
@@ -197,6 +278,30 @@ def _newton_polish(coeffs, w: float) -> float:
     return best
 
 
+def _newton_polishes(coeffs, w):
+    """`_newton_polish` on an array of starts, one per cell: the same 12-step
+    budget, stop rules and best-residual rule, in the same operations."""
+    best = np.array(w, dtype=float)
+    best_res = np.abs(_poly_eval(coeffs, best))
+    cell, w = np.arange(best.size), best
+    for _ in range(12):
+        if not cell.size:
+            break
+        c = _take(coeffs, cell)
+        fw, dfw = _poly_eval(c, w), _poly_eval(_poly_derivative(c), w)
+        step = fw / dfw
+        wn = w - step
+        moves = (dfw != 0.0) & ~(wn <= 0.0)
+        cell, w, step = cell[moves], wn[moves], step[moves]
+        res = np.abs(_poly_eval(_take(coeffs, cell), w))
+        better = res < best_res[cell]
+        best[cell[better]], best_res[cell[better]] = w[better], res[better]
+        aw = np.abs(w)
+        open_ = ~(np.abs(step) <= 1e-16 * np.where(aw > 1.0, aw, 1.0))  # max(1.0, |w|)
+        cell, w = cell[open_], w[open_]
+    return best
+
+
 def solve_gap(spec: OscillatorSpec, x: float, phase: Phase) -> float:
     """Positive frequency solving the (spec, x, phase) self-consistency condition.
 
@@ -207,8 +312,8 @@ def solve_gap(spec: OscillatorSpec, x: float, phase: Phase) -> float:
     solves it on that interval.  Raises NoPhysicalRoot when the displaced
     quartic branch is requested above its critical coupling, ValueError for
     a displaced phase of a single well (the free oscillator included), and
-    SolverError when the root overflows, or is so small (0 included) that
-    w^(k/2) underflows.
+    SolverError when the root is not finite, or w^(k/2) overflows or
+    underflows to 0.
     """
     g, lam, k = spec.g, spec.lam, spec.k
     if phase is Phase.SPONTANEOUSLY_BROKEN and k == 4 and g < 0.0:
@@ -224,16 +329,18 @@ def solve_gap(spec: OscillatorSpec, x: float, phase: Phase) -> float:
     elif k == 4:
         w = _newton_polish(problem.coefficients, _quartic_sr_root(g, problem.coefficients[0]))
     elif k == 6:
-        c = -problem.coefficients[0]
-        disc = math.sqrt(g * g + 4.0 * c)
-        wsq = 0.5 * (g + disc) if g >= 0.0 else 2.0 * c / (disc - g)
-        w = _newton_polish(problem.coefficients, math.sqrt(wsq))
+        w = _newton_polish(problem.coefficients, _sextic_sr_root(g, problem.coefficients[0]))
     else:
         coeffs = problem.coefficients
         w = _refine_bracket(coeffs, math.sqrt(0.6 * g), 1.0 + max(-coeffs[0], g))
     if not math.isfinite(w):
         raise SolverError("non-finite frequency %r at coupling %g, x = %g" % (w, lam, x))
-    if w < 1.0 and w ** (k // 2) == 0.0:  # the moments divide by w^(k/2)
+    try:
+        w_power = w ** (k // 2)  # the moments divide by w^(k/2)
+    except OverflowError:
+        raise SolverError("frequency %r at coupling %g, x = %g overflows: w^%d is not finite"
+                          % (w, lam, x, k // 2)) from None
+    if w_power == 0.0:
         raise SolverError("frequency %r at coupling %g, x = %g underflows: w^%d is 0"
                           % (w, lam, x, k // 2))
     return w

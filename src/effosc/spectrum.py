@@ -12,7 +12,8 @@ carries the whole leading-order spectrum: E0 = w*x + h0 with x = n + 1/2.
 For a double well (g < 0) two families of stationary points compete: the
 undisplaced, symmetry-restored one (s = 0) and displaced, broken-symmetry
 ones (s != 0).  `phase_solution` solves one family; `level_solution` keeps
-the lower of the two.
+the lower of the two.  `level_grid` does what `level_solution` does on a
+whole coupling x level grid at once, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,15 +23,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoPhysicalRoot, NoSSBSolution
-from .gap import _newton_polish, solve_gap
-from .model import OscillatorSpec, Phase, factor_h, level_x, moment
+from .errors import NoPhysicalRoot, NoSSBSolution, SolverError
+from .gap import (
+    _coefficients,
+    _level_factor,
+    _newton_polish,
+    _newton_polishes,
+    _quartic_sr_root,
+    _quartic_ssb_root,
+    _refine_brackets,
+    _sextic_sr_root,
+    critical_coupling,
+    solve_gap,
+)
+from .model import OscillatorSpec, Phase, factor_h, factor_p, level_x, moment
 
 __all__ = [
     "EffectiveSolution",
+    "LevelGrid",
     "ssb_displacement",
     "potential_params",
     "level_solution",
+    "level_grid",
     "phase_solution",
     "sextic_ssb_solutions",
     "lo_energy_closed_form",
@@ -199,6 +213,9 @@ def sextic_ssb_solutions(spec: OscillatorSpec, n: int):
         8.0 * g,
         1.0,
     )
+    if not all(map(math.isfinite, quartic)):
+        raise SolverError(f"broken-symmetry branch for k=6, g={g}, lambda={lam}, n={n}: "
+                          "its quartic in w^2 has a coefficient that is not finite")
     solutions = []
     for root in np.roots(quartic[::-1]):
         if root.imag != 0.0 or not root.real > 0.0:
@@ -253,6 +270,209 @@ def level_solution(spec: OscillatorSpec, n: int) -> EffectiveSolution:
             if displaced.E0 < best.E0:
                 best = displaced
     return best
+
+
+@dataclass(frozen=True)
+class LevelGrid:
+    """`level_solution`'s (phase, w, E0) on every cell of a coupling x level grid.
+
+    Cells run coupling-major: cell i holds coupling i // len(levels) and
+    level levels[i % len(levels)].  `failures` maps a cell to the exception
+    `level_solution` raises there (an invalid coupling fails the first cell
+    of its row, and no other cell of the row is solved); the entries of a
+    failed cell are placeholders.
+    """
+
+    phase: list
+    w: list
+    E0: list
+    failures: dict
+
+    def raise_failure(self, cell=None) -> None:
+        """Raise the failure of `cell`, or with no cell the first in cell order."""
+        if cell is None and self.failures:
+            cell = min(self.failures)
+        if cell in self.failures:
+            raise self.failures[cell]
+
+
+def level_grid(k: int, g: float, lams, levels) -> LevelGrid:
+    """`level_solution(OscillatorSpec(k, g, lam), n)` on every (lam, n) cell, in one numpy pass.
+
+    Bit for bit the scalar solve: the same seeds, the masked forms of its
+    Newton polish and octic bracket, and `_assemble`'s arithmetic run
+    elementwise in the same operation order.  Only + - * / and sqrt, which
+    round correctly, are vectorized; each ``**`` is taken per cell with
+    Python's pow.  A displaced sextic cell calls `sextic_ssb_solutions`.  A
+    cell where the scalar solve would raise (a frequency that is not
+    positive and finite, or whose w^(k/2) overflows or is 0) is handed to
+    `level_solution` itself, which gives its solution or its failure.
+    """
+    rows, width = len(lams), len(levels)
+    failures, specs = {}, []
+    for row, lam in enumerate(lams):
+        try:
+            specs.append(OscillatorSpec(k, g, lam))
+        except ValueError as exc:
+            specs.append(None)
+            failures[row * width] = exc
+    # per level: x, the undisplaced level factor and x**3; the displaced
+    # quartic's level factor p(x) and critical coupling
+    displaced_quartic = g < 0.0 and k == 4
+    per_level, scalar_level = [], []
+    for n in levels:
+        try:
+            x = level_x(n)
+            per_level.append((x, _level_factor(k, Phase.SYMMETRY_RESTORED, x),
+                              x**3 if k == 6 else 0.0,
+                              *((factor_p(x), critical_coupling(-g, x)) if displaced_quartic
+                                else (0.0, 0.0))))
+            scalar_level.append(False)
+        except (ValueError, ArithmeticError):  # level_solution raises it for the level's cells
+            per_level.append((math.nan,) * 5)
+            scalar_level.append(True)
+    valid = np.repeat(np.array([spec is not None for spec in specs], dtype=bool), width)
+    scalar = valid & np.tile(np.array(scalar_level, dtype=bool), rows)
+    cells = np.flatnonzero(valid & ~scalar)
+    lam = np.asarray(lams, dtype=float)[cells // width]
+    x, factor, x3, factor_p_, lam_c = np.array(per_level).reshape(width, 5)[cells % width].T
+    with np.errstate(all="ignore"):
+        w, e0, failed = _undisplaced_cells(k, g, lam, x, factor, x3)
+        ssb = np.zeros(cells.size, dtype=bool)
+        if displaced_quartic:
+            w_ssb, e0_ssb, failed_ssb = _displaced_quartic_cells(g, lam, x, factor_p_, lam_c)
+            failed |= failed_ssb
+            ssb = ~failed & (e0_ssb < e0)
+            w, e0 = np.where(ssb, w_ssb, w), np.where(ssb, e0_ssb, e0)
+    scalar[cells[failed]] = True
+    w_all, e0_all = np.full(rows * width, math.nan), np.full(rows * width, math.nan)
+    ssb_all = np.zeros(rows * width, dtype=bool)
+    w_all[cells], e0_all[cells], ssb_all[cells] = w, e0, ssb
+    grid = LevelGrid(
+        phase=[Phase.SPONTANEOUSLY_BROKEN if b else Phase.SYMMETRY_RESTORED for b in ssb_all.tolist()],
+        w=w_all.tolist(), E0=e0_all.tolist(), failures=failures)
+    if g < 0.0 and k == 6:  # the displaced family competes as in level_solution
+        for i in cells[~failed].tolist():
+            try:
+                sol = phase_solution(specs[i // width], levels[i % width], Phase.SPONTANEOUSLY_BROKEN)
+            except (NoPhysicalRoot, NoSSBSolution):
+                continue
+            except Exception as exc:  # raised when the caller reaches the cell
+                grid.failures[i] = exc
+                continue
+            if sol.E0 < grid.E0[i]:
+                grid.phase[i], grid.w[i], grid.E0[i] = sol.phase, sol.w, sol.E0
+    for i in np.flatnonzero(scalar).tolist():
+        try:
+            sol = level_solution(specs[i // width], levels[i % width])
+        except Exception as exc:
+            grid.failures[i] = exc
+        else:
+            grid.phase[i], grid.w[i], grid.E0[i] = sol.phase, sol.w, sol.E0
+    return grid
+
+
+def _pow_cells(values, p: int):
+    """values**p per cell with Python's float pow (numpy's power may differ from
+    C pow in the last bit), and the cells where it raises, which hold NaN."""
+    values = values.tolist()
+    raised = np.zeros(len(values), dtype=bool)
+    try:
+        return np.array([v**p for v in values]), raised
+    except ArithmeticError:
+        out = np.full(len(values), math.nan)
+        for i, v in enumerate(values):
+            try:
+                out[i] = v**p
+            except ArithmeticError:
+                raised[i] = True
+        return out, raised
+
+
+def _checked_frequency(k: int, w):
+    """w**(k/2) per cell, and the cells `solve_gap` or `_assemble` would reject:
+    w not positive and finite, or w^(k/2) overflowing or 0."""
+    w_power, raised = _pow_cells(w, k // 2)
+    return w_power, raised | ~np.isfinite(w) | ~(w > 0.0) | (w_power == 0.0)
+
+
+def _undisplaced_cells(k, g, lam, x, factor, x3):
+    """(w, E0, failed) of the undisplaced family, elementwise as `solve_gap` and
+    `_assemble`; a failed cell is one where the scalar solve raises."""
+    coeffs = _coefficients(k, g, lam, factor, Phase.SYMMETRY_RESTORED)
+    failed = np.zeros(lam.size, dtype=bool)
+    if k == 4:
+        seeds = np.full(lam.size, math.nan)
+        for i, c0 in enumerate(coeffs[0].tolist()):
+            try:
+                seeds[i] = _quartic_sr_root(g, c0)
+            except (ArithmeticError, ValueError):
+                failed[i] = True
+        w = _newton_polishes(coeffs, seeds)
+    elif k == 6:
+        w = _newton_polishes(coeffs, _sextic_sr_root(g, coeffs[0], np.sqrt))
+    else:
+        c = -coeffs[0]
+        w = _refine_brackets(coeffs, np.sqrt(0.6 * g), 1.0 + np.where(g > c, g, c))
+    if g > 0.0:
+        w = np.where(lam == 0.0, np.sqrt(g), w)
+    w_power, rejected = _checked_frequency(k, w)
+    zero = np.zeros(lam.size)
+    w3 = _pow_cells(w, 3)[0] if k == 8 else w_power  # only the sextic and octic take w**3
+    e0 = _assembled_energy(k, lam, x, w, zero, zero, w3, w_power, x3, factor)
+    return w, e0, failed | rejected
+
+
+def _displaced_quartic_cells(g, lam, x, factor, lam_c):
+    """(w, E0, failed) of the displaced quartic family, elementwise as `solve_gap`,
+    `ssb_displacement` and `_assemble`, given each cell's critical coupling;
+    E0 is NaN where the family has no solution."""
+    failed = np.zeros(lam.size, dtype=bool)
+    solvable = ~(lam > lam_c * (1.0 + 1e-12))
+    seeds = np.full(lam.size, math.nan)
+    for i in np.flatnonzero(solvable).tolist():
+        try:
+            seeds[i] = _quartic_ssb_root(-g, lam[i].item(), lam_c[i].item())
+        except (ArithmeticError, ValueError):
+            failed[i] = True
+    solvable &= ~failed
+    cells = np.flatnonzero(solvable)
+    w = np.full(lam.size, math.nan)
+    coeffs = _coefficients(4, g, lam[cells], factor[cells], Phase.SPONTANEOUSLY_BROKEN)
+    w[cells] = _newton_polishes(coeffs, seeds[cells])
+    w_power, rejected = _checked_frequency(4, w)
+    failed |= solvable & rejected
+    s_sq = (-g - 12.0 * lam * x / w) / (4.0 * lam)
+    solvable &= ~failed & ~(s_sq < 0.0)
+    s_sq = np.where(solvable, s_sq, 0.0)
+    s4, raised = _pow_cells(np.sqrt(s_sq), 4)
+    e0 = _assembled_energy(4, lam, x, w, s_sq, s4, None, w_power, None, None)
+    return w, np.where(solvable, e0, math.nan), failed | raised
+
+
+def _assembled_energy(k, lam, x, w, s_sq, s4, w3, w_power, x3, h):
+    """`_assemble`'s E0 elementwise, in its operation order.  Each power the
+    scalar formulas take with ``**`` comes in per cell: s4 = s**4, w3 = w**3,
+    w_power = w**(k/2), x3 = x**3, and the octic factor h(x)."""
+    s = np.sqrt(s_sq)
+    s2 = s * s
+    if k == 4:
+        A = 6.0 * s2 + (3.0 + 12.0 * x * x) / (4.0 * x * w)
+        moment_k = s4 + 6.0 * s * s * (x / w) + (3.0 + 12.0 * x * x) / (8.0 * w * w)
+    elif k == 6:  # undisplaced only, so s**6 = s**4 = 0
+        A = (15.0 * s2 * s2
+             + 45.0 * s2 * (1.0 + 4.0 * x * x) / (4.0 * x * w)
+             + 15.0 * (5.0 + 4.0 * x * x) / (8.0 * w * w))
+        moment_k = (s4 + 15.0 * s4 * (x / w)
+                    + 15.0 * s * s * ((3.0 + 12.0 * x * x) / (8.0 * w * w))
+                    + (25.0 * x + 20.0 * x3) / (8.0 * w3))
+    else:
+        A = 35.0 * h / (2.0 * w3)
+        moment_k = 35.0 * x * h / (8.0 * w_power)
+    B = np.where((s == 0.0) | (lam == 0.0), 0.0, w * w * s / lam)
+    C = moment_k - A * (s * s + x / w) + B * s
+    h0 = lam * C - 0.5 * w * w * s_sq
+    return w * x + h0
 
 
 def lo_energy_closed_form(spec: OscillatorSpec, n: int, phase: Phase) -> float:

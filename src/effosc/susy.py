@@ -120,8 +120,9 @@ def wavefunction_distance(b: float, grid):
     """(overlap, L2 distance) between the exact and Gaussian ground amplitudes.
 
     Integrates the analytic amplitudes adaptively over the grid's window,
-    which must span at least +-4 standard deviations of the wider density;
-    quadrature error is held below 1e-8.
+    which must span at least +-4 standard deviations of the wider density,
+    clipped to +-64 of them, where both amplitudes are 0; quadrature error is
+    held below 1e-8.
     """
     if not (b > 0.0):
         raise ValueError("superpotential coefficient b must be positive, got %r" % (b,))
@@ -140,6 +141,10 @@ def wavefunction_distance(b: float, grid):
             "insufficient grid span: need at least [%.6g, %.6g], got [%.6g, %.6g]"
             % (-4.0 * sigma, 4.0 * sigma, lo, hi)
         )
+    # Beyond 64 sigma both amplitudes underflow to 0 (the Gaussian's at
+    # sqrt(2 * 745) = 54.6 of its own widths), so a wider window adds nothing
+    # but hides the O(sigma) peak from the quadrature's samples.
+    lo, hi = max(lo, -64.0 * sigma), min(hi, 64.0 * sigma)
     psi1 = _susy_exact_amplitude(b)
     psi2 = _gaussian_amplitude(b)
     with np.errstate(over="ignore"):

@@ -93,6 +93,19 @@ def test_exit_code_numerical_failure(capsys):
     assert "critical" in err
 
 
+@pytest.mark.parametrize("phase", [[], ["--phase", "ssb"]])
+def test_displaced_sextic_coefficient_overflow_is_numerical_failure(capsys, phase):
+    # D² g/(6 lam) in the displaced branch's quartic overflows; np.roots would
+    # reject it as an invalid request (the automatic phase solves the grid in
+    # a batch, the forced one cell by cell)
+    argv = ["spectrum", "--kind", "sextic-dwo", "--g", "-1e64", "--lambda", "1e125",
+            "--levels", "0", *phase]
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == ("effosc: numerical failure: broken-symmetry branch for k=6, g=-1e+64, "
+                   "lambda=1e+125, n=0: its quartic in w^2 has a coefficient that is not finite\n")
+
+
 def test_forced_sextic_ssb_without_branch_is_numerical_failure(capsys):
     # level 1 of this well binds no displaced state
     code, out, err = invoke(
@@ -379,6 +392,63 @@ def test_json_writer_matches_json_dumps(payload):
         assert _json(payload) == want
 
 
+_past_largest = 1.7976931348e308  # finite, but inf once rounded to 10 digits
+_csv_scalars = [
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([_past_largest, -0.0]),
+    st.integers(), st.text(max_size=4), st.booleans(), st.none(),
+]
+_csv_columns = _csv_scalars + [
+    st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.just(_past_largest), max_size=3),
+    st.lists(st.one_of(st.integers(), st.booleans(), st.floats(allow_nan=False)), max_size=3),
+]
+
+
+def _csv_reference(meta, records, columns):
+    """CSV written value by value, record by record."""
+    _json(meta)
+    lines = [",".join(columns)]
+    for rec in records:
+        cells = []
+        for value in (rec[col] for col in columns):
+            if isinstance(value, (list, tuple)):
+                cells.append(";".join(_fmt(v) for v in value))
+            elif isinstance(value, (int, float)):
+                cells.append(_fmt(value))
+            else:
+                cells.append(str(value))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(write, *args):
+    try:
+        return write(*args)
+    except SolverError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True),
+       size=st.integers(min_value=1, max_value=4), fmt=st.sampled_from(["json", "csv"]),
+       data=st.data())
+def test_column_writer_matches_the_per_value_writers(keys, size, fmt, data):
+    # the same text, or the same first value refused in record order, as
+    # `_json` over the whole document or the CSV cells one by one
+    from effosc.cli import _columns, _render
+
+    kinds = _csv_columns + ([_json_payloads] if fmt == "json" else [])
+    table = {key: data.draw(st.lists(data.draw(st.sampled_from(kinds)), min_size=size,
+                                     max_size=size)) for key in keys}
+    records = [dict(zip(table, row)) for row in zip(*table.values())]
+    meta = {"x": data.draw(st.sampled_from([1.0, _past_largest]))}
+    assert _columns(records) == table
+    if fmt == "json":
+        want = _outcome(lambda: _json({"meta": meta, "records": records}) + "\n")
+    else:
+        want = _outcome(_csv_reference, meta, records, keys[::-1])
+    assert _outcome(_render, meta, table, fmt, keys[::-1]) == want
+
+
 def test_octic_huge_coupling_frequency(capsys):
     code, out, _ = invoke(capsys, ["spectrum", "--kind", "octic-aho", "--lambda", "1e30",
                                    "--format", "csv"])
@@ -460,6 +530,29 @@ def test_frequency_underflow_is_numerical_failure(capsys, argv):
     assert (code, out) == (3, "")
     assert err.startswith("effosc: numerical failure: frequency ")
     assert err.endswith(", x = 0.5 underflows: w^3 is 0\n")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "ipt", "oracle"])
+def test_frequency_overflow_is_numerical_failure(capsys, command):
+    # w ≈ 1e150, so the octic moments' w⁴ overflows
+    code, out, err = invoke(
+        capsys, [command, "--kind", "octic-aho", "--g", "1e300", "--lambda", "1", "--levels", "0"])
+    assert (code, out) == (3, "")
+    assert err == ("effosc: numerical failure: frequency 1.0000000000000002e+150 at coupling 1, "
+                   "x = 0.5 overflows: w^4 is not finite\n")
+
+
+def test_susy_wavefunction_wide_window_matches_narrow(capsys):
+    # the overlap quadrature must still sample the O(1) peak of a window this wide
+    meta = {}
+    for grid in ("-1e6,1e6", "-10,10"):
+        code, out, _ = invoke(capsys, ["susy", "wavefunction", "--b", "1", f"--grid={grid}"])
+        assert code == 0
+        meta[grid] = json.loads(out)["meta"]
+    wide, narrow = meta["-1e6,1e6"], meta["-10,10"]
+    assert narrow["overlap"] == pytest.approx(0.9842922251, abs=1e-9)
+    for key in ("overlap", "l2_distance"):
+        assert abs(wide[key] - narrow[key]) <= 1e-9, key
 
 
 @pytest.mark.parametrize("grid", ["1e100,1", "-1e100,1e100"])

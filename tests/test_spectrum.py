@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_tables as ref
-from effosc.errors import NoPhysicalRoot, NoSSBSolution
+from effosc.errors import NoPhysicalRoot, NoSSBSolution, SolverError
 from effosc.gap import critical_coupling
 from effosc.ipt import rs_corrections
 from effosc.model import OscillatorSpec, Phase, hamiltonian_average, level_x
 from effosc.spectrum import (
     _sextic_ssb_residual,
+    level_grid,
     level_solution,
     lo_energy_closed_form,
     phase_solution,
@@ -405,7 +406,13 @@ LEVEL_ENTRY_POINTS = {
     "sextic_ssb_solutions": lambda n: sextic_ssb_solutions(SEXTIC_DOUBLE_WELL, n),
     "lo_energy_closed_form": lambda n: lo_energy_closed_form(QUARTIC_WELL, n, Phase.SYMMETRY_RESTORED),
     "rs_corrections": lambda n: rs_corrections(QUARTIC_WELL, n),
+    "level_grid": lambda n: _raised(level_grid(4, QUARTIC_WELL.g, [QUARTIC_WELL.lam], [n])),
 }
+
+
+def _raised(grid):
+    grid.raise_failure()
+    return grid
 
 
 def _bits(value):
@@ -429,3 +436,101 @@ def test_level_index_checked_at_entry_points(name):
     want = call(3)
     assert want != []
     assert _bits(call(np.int64(3))) == _bits(want)
+
+
+# --- the batched grid solve against the per-level one -------------------------
+
+KINDS = [(4, 1.0), (4, -1.0), (6, 1.0), (6, -1.0), (8, 1.0)]
+
+
+def assert_grid_matches_level_solution(k, g, lams, levels):
+    """Every cell of `level_grid` is `level_solution`'s (phase, w, E0) bit for
+    bit, or fails with its error; an invalid coupling fails its row's first cell."""
+    grid = level_grid(k, g, lams, levels)
+    for i, (lam, n) in enumerate((lam, n) for lam in lams for n in levels):
+        try:
+            spec = OscillatorSpec(k, g, lam)
+        except ValueError as exc:
+            if i % len(levels) == 0:
+                got = grid.failures.get(i)
+                assert (type(got), str(got)) == (ValueError, str(exc)), (lam, n)
+            continue
+        try:
+            sol = level_solution(spec, n)
+        except Exception as exc:
+            got = grid.failures.get(i)
+            assert (type(got), str(got)) == (type(exc), str(exc)), (k, g, lam, n)
+            continue
+        assert i not in grid.failures, (k, g, lam, n, grid.failures.get(i))
+        want = (sol.phase, sol.w.hex(), sol.E0.hex())
+        assert (grid.phase[i], grid.w[i].hex(), grid.E0[i].hex()) == want, (k, g, lam, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    log_g=st.one_of(st.floats(min_value=-6.0, max_value=6.0), st.sampled_from([-300.0, 300.0])),
+    g_zero=st.booleans(),
+    loglams=st.lists(st.one_of(st.floats(min_value=-300.0, max_value=300.0), st.none()),
+                     min_size=1, max_size=6),
+    levels=st.lists(st.one_of(st.integers(min_value=0, max_value=12),
+                              st.integers(min_value=0, max_value=10**6)), min_size=1, max_size=5),
+)
+def test_level_grid_matches_level_solution(kind, log_g, g_zero, loglams, levels):
+    # None stands for lambda = 0: the free oscillator, and an invalid request for a double well
+    k, sign = kind
+    g = 0.0 if g_zero and sign > 0 and log_g > 0 else sign * 10.0**log_g
+    lams = [0.0 if v is None else 10.0**v for v in loglams]
+    assert_grid_matches_level_solution(k, g, lams, levels)
+
+
+@pytest.mark.parametrize("k, g", KINDS + [(6, -3.0)])
+def test_level_grid_matches_on_a_dense_grid(k, g):
+    lams = [10.0**e for e in np.linspace(-4.0, 4.0, 41)]
+    assert_grid_matches_level_solution(k, g, lams, list(range(12)) + [40, 1000])
+
+
+def test_level_grid_at_the_quartic_critical_couplings():
+    # the displaced branch ends at lambda_c(n), with a 1e-12 relative margin
+    levels = list(range(8))
+    for n in levels:
+        lam_c = critical_coupling(1.0, level_x(n))
+        lams = [lam_c * (1.0 + d) for d in (-2e-12, -1e-12, 0.0, 1e-12, 2e-12)]
+        assert_grid_matches_level_solution(4, -1.0, lams, levels)
+
+
+def test_level_grid_octic_roots_at_huge_and_shallow_couplings():
+    # the lambda ranges of test_gap's huge-coupling and shallow-well root tests:
+    # Newton runs out of steps from lambda ~ 1e23 on and bisection finishes
+    assert_grid_matches_level_solution(8, 1.0, [1e23, 1e30, 1e100, 1e300], [0, 1, 7, 100])
+    for g in (0.0, 1e-6, 0.01, 0.3):
+        lams = [1e-300, 1e-200, 1e-100, 1e-60, 1e-20, 1e-6, 1e-2, 1.0, 1e6]
+        assert_grid_matches_level_solution(8, g, lams, [0, 7])
+
+
+@pytest.mark.parametrize("k, g, lam", [
+    (6, -3.0, 1e-250),  # w^3 underflows
+    (6, -1e300, 1.0),  # sqrt(g^2 + 4c) overflows, which leaves w = 0
+    (6, 1e-300, 0.0),
+    (8, 1e300, 1.0),  # w^4 overflows
+    (6, -1e64, 1e125),  # the displaced branch's quartic overflows
+])
+def test_level_grid_failures_are_level_solutions(k, g, lam):
+    assert_grid_matches_level_solution(k, g, [lam, 0.5], [0, 1])
+    grid = level_grid(k, g, [lam, 0.5], [0, 1])
+    with pytest.raises(SolverError) as raised:
+        grid.raise_failure()
+    with pytest.raises(SolverError) as want:
+        level_solution(OscillatorSpec(k, g, lam), 0)
+    assert str(raised.value) == str(want.value)
+
+
+def test_level_grid_raises_the_first_failure_in_cell_order():
+    # an invalid coupling in row 1 comes after the failure of row 0's second level
+    grid = level_grid(6, -3.0, [1e-250, -1.0], [1, 0])
+    assert sorted(grid.failures) == [0, 1, 2]
+    with pytest.raises(SolverError, match="underflows"):
+        grid.raise_failure()
+    with pytest.raises(ValueError, match="non-negative"):
+        grid.raise_failure(2)
+    grid.raise_failure(3)  # a cell without a failure of its own

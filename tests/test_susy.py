@@ -115,6 +115,15 @@ def test_wavefunction_distance_frozen_and_b_invariant():
     assert l2**2 == pytest.approx(2.0 * (1.0 - ov), abs=1e-9)
 
 
+@pytest.mark.parametrize("b", [0.25, 1.0, 100.0])
+def test_wavefunction_distance_on_a_window_far_wider_than_the_peak(b):
+    # past 64 sigma both amplitudes are 0, so the window is clipped there
+    # and the quadrature still samples the O(sigma) peak
+    wide = wavefunction_distance(b, [-1e6, 1e6])
+    narrow = wavefunction_distance(b, [-10.0 / b**0.25, 10.0 / b**0.25])
+    assert np.allclose(wide, narrow, rtol=0.0, atol=1e-9), (wide, narrow)
+
+
 def test_wavefunction_distance_span_guard():
     with pytest.raises(ValueError):
         wavefunction_distance(1.0, np.linspace(-2.0, 2.0, 801))
