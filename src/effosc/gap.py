@@ -226,9 +226,24 @@ def _take(coeffs, index):
 
 
 def _quartic_sr_root(g: float, q0: float) -> float:
-    """Positive root of w^3 - g w + q0 = 0 with q0 = -6 lam f(x) < 0."""
+    """Positive root of w^3 - g w + q0 = 0 with q0 = -6 lam f(x) < 0.
+
+    Where g^3 overflows (|g| above ~5.6e102), the root is sqrt|g| t, with t
+    the root of the cubic scaled to g = +-1 and q = q0 / |g|^(3/2).
+    """
     p, q = -g, q0
-    disc = 0.25 * q * q + p**3 / 27.0
+    try:
+        p3 = p**3
+    except OverflowError:
+        scale = math.sqrt(abs(g))
+        q = q / scale / scale / scale
+        if g > 0.0:
+            return scale * _quartic_sr_root(1.0, q)
+        # t^3 + t + q = 0: Cardano's t = u - 1/(3u) is -q / (u² + 1/3 + 1/(9u²)),
+        # free of its cancellation at small q
+        u = (-0.5 * q + math.sqrt(0.25 * q * q + 1.0 / 27.0)) ** (1.0 / 3.0)
+        return scale * (-q / (u * u + 1.0 / 3.0 + 1.0 / (9.0 * u * u)))
+    disc = 0.25 * q * q + p3 / 27.0
     if disc >= 0.0:
         # single real root; both Cardano terms positive, no cancellation
         u = (-0.5 * q + math.sqrt(disc)) ** (1.0 / 3.0)

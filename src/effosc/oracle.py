@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .errors import OracleConvergenceError
 from .model import OscillatorSpec
@@ -53,6 +51,7 @@ class OracleSpectrum:
 
 def _position_power_diagonals(k: int, basis_w: float, dim: int):
     """Diagonals (offsets 0, 2, ...) of f² and of f^k, exact in the retained block."""
+    import scipy.sparse  # here, not at the top: only the oracle needs SciPy
     pad = dim + k
     off = np.sqrt(np.arange(1, pad) / (2.0 * basis_w))
     f = scipy.sparse.diags([off, off], [1, -1], format="csr")
@@ -102,6 +101,7 @@ def hamiltonian_matrix(spec: OscillatorSpec, basis_w: float, dim: int) -> np.nda
 
 def _parity_block_eigenvalues(diags, dim: int, k: int):
     """All eigenvalues, computed per parity block in banded storage."""
+    import scipy.linalg
     kb = k // 2
     merged = []
     for parity in (0, 1):

@@ -191,10 +191,14 @@ def sextic_ssb_solutions(spec: OscillatorSpec, n: int):
         P(y) = Q² - 10x D Q + D² (g y/(6 lam) + 15(1 + 4x²)/8),
 
     whose positive real roots with Q < 0 (that is, u > 0) are the displaced
-    states; for K >= 4g², Q > 0 for every y and there are none.  Each root is
-    polished on P and finished by one secant step on the nested residual,
-    which P's expanded coefficients resolve only to ~1e-12.  Returns a
-    (possibly empty) list sorted by energy.
+    states; for K >= 4g², Q > 0 for every y and there are none.  Q < 0 holds
+    between the roots 2|g| -+ sqrt(4g² - K) of Q.  Above 2|g| there is at
+    most one such root, solved in Q by `_outer_displaced_state`: in a deep
+    well it sits next to a root of P with Q > 0, and the roots of P's
+    expanded coefficients lose the pair.  The roots below 2|g| come from P's
+    roots, each polished on P and finished by one secant step on the nested
+    residual, which P's expanded coefficients resolve only to ~1e-12.
+    Returns a (possibly empty) list sorted by energy.
     """
     if spec.k != 6:
         raise ValueError("the displaced sextic solver applies to sextic wells only")
@@ -213,26 +217,83 @@ def sextic_ssb_solutions(spec: OscillatorSpec, n: int):
         8.0 * g,
         1.0,
     )
+    failure = f"broken-symmetry branch for k=6, g={g}, lambda={lam}, n={n}"
     if not all(map(math.isfinite, quartic)):
-        raise SolverError(f"broken-symmetry branch for k=6, g={g}, lambda={lam}, n={n}: "
-                          "its quartic in w^2 has a coefficient that is not finite")
-    solutions = []
+        raise SolverError(f"{failure}: its quartic in w^2 has a coefficient that is not finite")
+    states = []  # (w, u = s²)
     for root in np.roots(quartic[::-1]):
         if root.imag != 0.0 or not root.real > 0.0:
             continue
         y = _newton_polish(quartic, float(root.real))
+        if not y < -2.0 * g:
+            continue  # above 2|g|: the outer root, solved in Q below
         if not y * y + 4.0 * g * y + K < 0.0:
             continue  # u = -Q/(D w) would be negative
         w = math.sqrt(y)
-        r, h = _sextic_ssb_residual(w, x, g, lam), 2.0**-24 * w
-        dr = _sextic_ssb_residual(w + h, x, g, lam) - r
-        if dr != 0.0:
-            w -= r * h / dr
+        with np.errstate(all="ignore"):  # in a deep well r * h overflows: no step then
+            r, h = _sextic_ssb_residual(w, x, g, lam), 2.0**-24 * w
+            dr = _sextic_ssb_residual(w + h, x, g, lam) - r
+            step = r * h / dr if dr != 0.0 else 0.0
+        if math.isfinite(step):
+            w -= step
         u = _sextic_s_sq(w, x, g, lam)
         if u > 1e-12 * (1.0 + abs(g) / lam):  # not degenerate with the undisplaced family
-            solutions.append(_assemble(spec, n, x, Phase.SPONTANEOUSLY_BROKEN, float(w), float(u)))
+            states.append((float(w), float(u)))
+    outer = _outer_displaced_state(g, lam, x, K, D, failure)
+    if outer is not None:  # u > 0 to full relative precision
+        states.append(outer)
+    solutions = [_assemble(spec, n, x, Phase.SPONTANEOUSLY_BROKEN, w, u) for w, u in states]
     solutions.sort(key=lambda sol: sol.E0)
     return solutions
+
+
+def _outer_displaced_state(g: float, lam: float, x: float, K: float, D: float, failure: str):
+    """(w, u) of the displaced sextic state with w² above 2|g|, or None if there is none.
+
+    On that side y = 2|g| + sqrt(E + Q) with E = 4g² - K.  In t = Q/S, with
+    S = D|g| / sqrt(3 lam) the scale of Q (t ~ -sqrt 2 in a deep well),
+    P(y) = 0 reads
+
+        F(t) = t² - beta t + gamma + sqrt(E + S t) / (2g) = 0,
+        beta = 10x sqrt(3 lam) / |g|,   gamma = 3 lam (15(1 + 4x²)/8) / g² - 1.
+
+    F falls and is convex on the branch -E/S <= t <= 0, so it has a root
+    there when F(-E/S) >= 0 > F(0), and only one.  F resolves t to full
+    relative precision, and y and u = -Q/(D w) follow without cancellation.
+    Newton starts from the negative root of F with y frozen at its value at
+    t = 0, which lies left of the root, so its steps rise to the root; a
+    step that leaves the bracket is replaced by bisection.
+    """
+    E = 4.0 * g * g - K
+    S = D / math.sqrt(3.0 * lam) * -g
+    beta = 10.0 * x * math.sqrt(3.0 * lam) / -g
+    gamma = 3.0 * lam * (15.0 * (1.0 + 4.0 * x * x) / 8.0) / (g * g) - 1.0
+    f_hi = gamma + math.sqrt(E) / (2.0 * g)
+    if not (math.isfinite(S) and S > 0.0 and math.isfinite(f_hi)):
+        raise SolverError(f"{failure}: its stationarity condition in Q is not finite")
+    if not (E / S + beta + gamma * S / E >= 0.0 > f_hi):  # F(-E/S) S/E, which does not overflow
+        return None
+    lo, hi = -E / S, 0.0
+    t = max(lo, f_hi / (0.5 * beta + math.sqrt(0.25 * beta * beta - f_hi)))
+    for _ in range(200):
+        r = math.sqrt(max(E + S * t, 0.0))  # S (-E/S) may round below -E
+        ft = t * t - beta * t + gamma + r / (2.0 * g)
+        if ft == 0.0:
+            break
+        if ft > 0.0:
+            lo = t
+        else:
+            hi = t
+        # at r = 0 (the branch end, t = -E/S) F' is infinite: bisect
+        tn = t - ft / (2.0 * t - beta + S / (4.0 * g * r)) if r > 0.0 else math.nan
+        if abs(tn - t) <= 5e-16 * abs(tn):
+            t = tn
+            break
+        t = tn if lo < tn < hi else 0.5 * (lo + hi)
+    else:
+        raise SolverError(f"{failure}: Newton on its stationarity condition did not converge")
+    w = math.sqrt(-2.0 * g + math.sqrt(max(E + S * t, 0.0)))
+    return w, g * t / (math.sqrt(3.0 * lam) * w)
 
 
 def phase_solution(spec: OscillatorSpec, n: int, phase: Phase) -> EffectiveSolution:
@@ -240,18 +301,24 @@ def phase_solution(spec: OscillatorSpec, n: int, phase: Phase) -> EffectiveSolut
 
     Raises NoPhysicalRoot (quartic well above its critical coupling) or
     NoSSBSolution (no displaced sextic state) when the phase has no
-    solution, and ValueError for a displaced phase of a single well.
+    solution, ValueError for a displaced phase of a single well, and
+    SolverError where a power of a float (a moment, the critical coupling)
+    overflows.
     """
     x = level_x(n)
-    if phase is Phase.SPONTANEOUSLY_BROKEN and spec.k == 6:
-        displaced = sextic_ssb_solutions(spec, n)
-        if not displaced:
-            raise NoSSBSolution(
-                f"no broken-symmetry branch for k=6, g={spec.g}, lambda={spec.lam}, n={n}")
-        return displaced[0]
-    w = solve_gap(spec, x, phase)
-    s_sq = 0.0 if phase is Phase.SYMMETRY_RESTORED else ssb_displacement(spec, x, w)
-    return _assemble(spec, n, x, phase, w, s_sq)
+    try:
+        if phase is Phase.SPONTANEOUSLY_BROKEN and spec.k == 6:
+            displaced = sextic_ssb_solutions(spec, n)
+            if not displaced:
+                raise NoSSBSolution(
+                    f"no broken-symmetry branch for k=6, g={spec.g}, lambda={spec.lam}, n={n}")
+            return displaced[0]
+        w = solve_gap(spec, x, phase)
+        s_sq = 0.0 if phase is Phase.SYMMETRY_RESTORED else ssb_displacement(spec, x, w)
+        return _assemble(spec, n, x, phase, w, s_sq)
+    except OverflowError:  # Python's float ** raises where * and + give inf
+        raise SolverError(f"{phase.value} state of k={spec.k} at g={spec.g}, lambda={spec.lam}, "
+                          f"x = {x}: a power of a float is not finite") from None
 
 
 def level_solution(spec: OscillatorSpec, n: int) -> EffectiveSolution:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gap import solve_gap
 from .model import OscillatorSpec, Phase
@@ -145,6 +144,7 @@ def wavefunction_distance(b: float, grid):
     # sqrt(2 * 745) = 54.6 of its own widths), so a wider window adds nothing
     # but hides the O(sigma) peak from the quadrature's samples.
     lo, hi = max(lo, -64.0 * sigma), min(hi, 64.0 * sigma)
+    from scipy.integrate import quad  # here, so that importing effosc loads no SciPy
     psi1 = _susy_exact_amplitude(b)
     psi2 = _gaussian_amplitude(b)
     with np.errstate(over="ignore"):

@@ -663,3 +663,91 @@ def test_negative_level_range_rejected_before_solving(capsys, monkeypatch):
                                      "--levels", "-2..3"])
     assert (code, out) == (2, "")
     assert err == "effosc: invalid request: levels must be non-negative\n"
+
+
+_SCIPY_PROBE = r"""
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import effosc, effosc.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+report = [("import", 0, scipy_modules())]
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = effosc.cli.run(argv)
+    report.append((" ".join(argv), code, scipy_modules()))
+print(json.dumps(report))
+"""
+
+
+def test_scipy_is_loaded_only_by_oracle_and_susy_wavefunction():
+    # importing the package and the light subcommands load no SciPy; the
+    # oracle's banded eigensolver and the wavefunction quadrature load
+    # theirs when they run
+    import pathlib
+
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    light = [
+        ["spectrum", "--kind", "quartic-aho", "--lambda", "0.1", "--levels", "0..2"],
+        ["table", "--id", "1"],
+        ["ipt", "--kind", "quartic-aho", "--lambda", "0.1", "--levels", "0"],
+        ["vacuum", "--lambda", "0.1"],
+        ["susy", "ispp", "--levels", "0..2"],
+    ]
+    heavy = [
+        ["oracle", "--kind", "quartic-aho", "--lambda", "0.1", "--levels", "0"],
+        ["susy", "wavefunction", "--b", "1", "--grid=-10:10:0.5"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, src, json.dumps(light + heavy)],
+                          capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout)
+    for step, code, modules in report[: 1 + len(light)]:
+        assert (step, code, modules) == (step, 0, []), step
+    (oracle_step, oracle_code, after_oracle), (susy_step, susy_code, after_susy) = report[-2:]
+    assert (oracle_code, susy_code) == (0, 0)
+    assert "scipy.linalg" in after_oracle
+    assert "scipy.integrate" not in after_oracle and "scipy.integrate" in after_susy
+
+
+@pytest.mark.parametrize("kind, g, phase, w, e0", [
+    # p^3 = (-g)^3 overflows past |g| ~ 5.6e102; the root w ~ sqrt|g| is finite
+    ("quartic-aho", "1e150", "auto", 1e75, 5e74),
+    ("quartic-dwo", "-1e150", "auto", 1.414213562e75, -6.25e298),
+    ("quartic-dwo", "-1e150", "sr", 6e-150, -2.083333333e298),
+])
+def test_quartic_cubic_past_the_cube_overflow(capsys, kind, g, phase, w, e0):
+    code, out, err = invoke(capsys, ["spectrum", "--kind", kind, "--g", g, "--lambda", "1",
+                                     "--levels", "0", "--phase", phase])
+    assert (code, err) == (0, "")
+    (rec,) = json.loads(out)["records"]
+    assert (rec["w"], rec["E0"]) == (w, e0)
+
+
+@pytest.mark.parametrize("g, lam, what", [
+    ("-1e210", "1e100", "the critical coupling's (2|g|/3)^1.5"),
+    ("-1e-100", "1e-300", "s^4 in the displaced <f^4>"),
+])
+def test_quartic_power_overflow_names_the_state(capsys, g, lam, what):
+    code, out, err = invoke(capsys, ["spectrum", "--kind", "quartic-dwo", "--g", g,
+                                     "--lambda", lam, "--levels", "0"])
+    assert (code, out) == (3, ""), what
+    assert err == (f"effosc: numerical failure: SSB state of k=4 at g={float(g)!r}, "
+                   f"lambda={float(lam)!r}, x = 0.5: a power of a float is not finite\n")
+
+
+@pytest.mark.parametrize("g, w, e0", [
+    ("-1e11", 632455.532, -4.303314829e15),
+    ("-1e150", 2e75, -1.360827635e224),
+])
+@pytest.mark.parametrize("phase", ["auto", "ssb"])
+def test_deep_sextic_well_prints_its_displaced_level(capsys, g, w, e0, phase):
+    # the displaced root sits next to a second root of P(y) with Q > 0, which
+    # np.roots turned into a complex pair; the symmetric level (-1.111e15 at
+    # g = -1e11) was printed instead.  No numpy warning reaches stderr.
+    code, out, err = invoke(capsys, ["spectrum", "--kind", "sextic-dwo", "--g", g,
+                                     "--lambda", "1", "--levels", "0", "--phase", phase])
+    assert (code, err) == (0, "")
+    (rec,) = json.loads(out)["records"]
+    assert (rec["phase"], rec["w"], rec["E0"]) == ("SSB", w, e0)

@@ -186,3 +186,23 @@ def test_octic_root_against_companion_matrix(g, log_lam, n):
     want = positive_real_roots(gap_polynomial(spec, x, Phase.SYMMETRY_RESTORED).coefficients)
     assert len(want) == 1
     assert solve_gap(spec, x, Phase.SYMMETRY_RESTORED) == pytest.approx(want[0], rel=1e-9)
+
+
+def test_quartic_sr_root_past_the_cube_overflow():
+    # (-g)^3 overflows past |g| ~ 5.6e102; the cubic scaled by sqrt|g| gives
+    # the root, to the exact residual of the float coefficients, or w^2 = 0
+    # where 6 lam f(x) / |g|, the double well's root, underflows
+    for g in (1e103, 1e150, 1e300, -1e103, -1e150, -1e300):
+        for n in (0, 3):
+            x = level_x(n)
+            for lam in (1e-300, 1e-100, 1e-5, 1.0, 1e5, 1e100):
+                spec = OscillatorSpec(4, g, lam)
+                try:
+                    w = solve_gap(spec, x, Phase.SYMMETRY_RESTORED)
+                except SolverError as exc:
+                    assert g < 0.0 and "underflows: w^2 is 0" in str(exc), (g, n, lam)
+                    assert (6.0 * lam * factor_f(x) / -g) ** 2 < 1e-300, (g, n, lam)
+                    continue
+                coeffs = gap_polynomial(spec, x, Phase.SYMMETRY_RESTORED).coefficients
+                p, wdp = octic_residual_bound(coeffs, w)
+                assert w > 0.0 and p <= Fraction(1e-15) * wdp, (g, n, lam, w)

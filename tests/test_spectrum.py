@@ -210,6 +210,63 @@ def test_sextic_displaced_roots_match_50_digit_nested_solve():
     assert worst <= 1e-13
 
 
+def _displaced_state_mp(mp, g, lam, x, w0, u0):
+    """(w, E0) of the displaced sextic state next to (w0, u0), solving the two
+    stationarity conditions in (w, u = s²) at mp's precision, each condition
+    and variable scaled to O(1) at the start."""
+    g, lam, x = mp.mpf(g), mp.mpf(lam), mp.mpf(x)
+    w0, u0 = mp.mpf(w0), mp.mpf(u0)
+
+    def conditions(a, b):
+        w, u = a * w0, b * u0
+        displacement = u * u + 10 * x * u / w + g / (6 * lam) + 15 * (1 + 4 * x * x) / (8 * w * w)
+        frequency = w * w - g - 2 * lam * (15 * u * u + 45 * u * (1 + 4 * x * x) / (4 * x * w)
+                                           + 15 * (5 + 4 * x * x) / (8 * w * w))
+        return [displacement / (u0 * u0), frequency / (w0 * w0)]
+
+    a, b = mp.findroot(lambda a, b: conditions(a, b), (mp.mpf(1), mp.mpf(1)))
+    w, u = a * w0, b * u0
+    assert u > 0
+    e0 = (w * x / 2 + g / 2 * (u + x / w)
+          + lam * (u**3 + 15 * u * u * x / w + 15 * u * (3 + 12 * x * x) / (8 * w * w)
+                   + (25 * x + 20 * x**3) / (8 * w**3)))
+    return w, e0
+
+
+@pytest.mark.parametrize("lam", [1e-5, 1.0])
+@pytest.mark.parametrize("n", [0, 3])
+def test_deep_sextic_well_keeps_its_displaced_branch(lam, n):
+    # near y = w² ~ 4|g| the displaced root of P(y) and a root with Q > 0
+    # are a near-double root; np.roots made them a complex pair (g = -1e11,
+    # lam = 1) or an exact double root with Q > 0 (g = -1e20), and the level
+    # fell back to the symmetric one, ~4x too high
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    x = level_x(n)
+    cells = []
+    for e in range(1, 31):
+        g = -(10.0**e)
+        if lam * (37.5 + 210.0 * x * x) >= 4.0 * g * g:
+            continue  # K >= 4g²: no displaced state
+        spec = OscillatorSpec(6, g, lam)
+        outer = [sol for sol in sextic_ssb_solutions(spec, n) if sol.w * sol.w > -2.0 * g]
+        assert len(outer) == 1, (g, lam, n)
+        sol = outer[0]
+        w, e0 = _displaced_state_mp(mp, g, lam, x, sol.w, sol.s_sq)
+        assert abs(sol.w - w) <= 1e-10 * w, (g, lam, n)
+        assert abs(sol.E0 - e0) <= 1e-10 * abs(e0), (g, lam, n)
+        lowest = min(sextic_ssb_solutions(spec, n), key=lambda s: s.E0)
+        sr = phase_solution(spec, n, Phase.SYMMETRY_RESTORED)
+        want = Phase.SPONTANEOUSLY_BROKEN if lowest.E0 < sr.E0 else Phase.SYMMETRY_RESTORED
+        assert level_solution(spec, n).phase is want, (g, lam, n)
+        cells.append(g)
+    assert len(cells) >= 29
+    assert_grid_matches_level_solution(6, -1e11, [lam], [n])
+    assert level_grid(6, -1e20, [lam], [n]).phase == [Phase.SPONTANEOUSLY_BROKEN]
+
+
 # Coupling at which the two displaced sextic states of g = -3, n = 0 merge
 # and vanish: a double root of the eliminated quartic, solved at 40 digits.
 SEXTIC_MERGE_LAMBDA = 0.22507567689200275662
@@ -514,6 +571,8 @@ def test_level_grid_octic_roots_at_huge_and_shallow_couplings():
     (6, 1e-300, 0.0),
     (8, 1e300, 1.0),  # w^4 overflows
     (6, -1e64, 1e125),  # the displaced branch's quartic overflows
+    (4, -1e210, 1e100),  # the critical coupling's (2|g|/3)^1.5 overflows
+    (4, -1e-100, 1e-300),  # s^4 of the displaced quartic state overflows
 ])
 def test_level_grid_failures_are_level_solutions(k, g, lam):
     assert_grid_matches_level_solution(k, g, [lam, 0.5], [0, 1])
@@ -523,6 +582,12 @@ def test_level_grid_failures_are_level_solutions(k, g, lam):
     with pytest.raises(SolverError) as want:
         level_solution(OscillatorSpec(k, g, lam), 0)
     assert str(raised.value) == str(want.value)
+
+
+def test_level_grid_quartic_past_the_cube_overflow():
+    # (-g)^3 overflows past |g| ~ 5.6e102: the scaled cubic gives the seeds
+    for g in (1e103, 1e150, 1e300, -1e103, -1e150):
+        assert_grid_matches_level_solution(4, g, [1e-300, 1e-5, 1.0, 1e5, 1e300], [0, 3, 1000])
 
 
 def test_level_grid_raises_the_first_failure_in_cell_order():
