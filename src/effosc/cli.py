@@ -132,7 +132,7 @@ def _parse_float_list(text: str) -> list[float]:
         if step <= 0:
             raise ValueError("range step must be positive")
         span = (b - a) / step + 1e-9
-        count = int(span) + 1 if span < MAX_CELLS else math.inf
+        count = math.floor(span) + 1 if span < MAX_CELLS else math.inf
         _check_cells(count)
         if count < 1:
             raise ValueError(f"empty range {text!r}")

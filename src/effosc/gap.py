@@ -237,17 +237,13 @@ def _quartic_sr_root(g: float, q0: float) -> float:
     except OverflowError:
         scale = math.sqrt(abs(g))
         q = q / scale / scale / scale
-        if g > 0.0:
-            return scale * _quartic_sr_root(1.0, q)
-        # t^3 + t + q = 0: Cardano's t = u - 1/(3u) is -q / (u² + 1/3 + 1/(9u²)),
-        # free of its cancellation at small q
-        u = (-0.5 * q + math.sqrt(0.25 * q * q + 1.0 / 27.0)) ** (1.0 / 3.0)
-        return scale * (-q / (u * u + 1.0 / 3.0 + 1.0 / (9.0 * u * u)))
+        return scale * _quartic_sr_root(math.copysign(1.0, g), q)
     disc = 0.25 * q * q + p3 / 27.0
-    if disc >= 0.0:
-        # single real root; both Cardano terms positive, no cancellation
+    if disc >= 0.0:  # single real root, always for g < 0
         u = (-0.5 * q + math.sqrt(disc)) ** (1.0 / 3.0)
-        return u - p / (3.0 * u)
+        if g < 0.0:  # Cardano's u - p/(3u) cancels; its product form does not
+            return -q / (u * u + p / 3.0 + p * p / (9.0 * u * u))
+        return u - p / (3.0 * u)  # both terms non-negative, no cancellation
     r = math.sqrt(-p / 3.0)
     cosarg = max(-1.0, min(1.0, (-0.5 * q) / r**3))
     return 2.0 * r * math.cos(math.acos(cosarg) / 3.0)
@@ -288,7 +284,7 @@ def _newton_polish(coeffs, w: float) -> float:
         res = abs(_poly_eval(coeffs, w))
         if res < best_res:
             best, best_res = w, res
-        if abs(step) <= 1e-16 * max(1.0, abs(w)):
+        if abs(step) <= 1e-16 * abs(w):
             break
     return best
 
@@ -311,8 +307,7 @@ def _newton_polishes(coeffs, w):
         res = np.abs(_poly_eval(_take(coeffs, cell), w))
         better = res < best_res[cell]
         best[cell[better]], best_res[cell[better]] = w[better], res[better]
-        aw = np.abs(w)
-        open_ = ~(np.abs(step) <= 1e-16 * np.where(aw > 1.0, aw, 1.0))  # max(1.0, |w|)
+        open_ = ~(np.abs(step) <= 1e-16 * np.abs(w))
         cell, w = cell[open_], w[open_]
     return best
 
@@ -327,8 +322,8 @@ def solve_gap(spec: OscillatorSpec, x: float, phase: Phase) -> float:
     solves it on that interval.  Raises NoPhysicalRoot when the displaced
     quartic branch is requested above its critical coupling, ValueError for
     a displaced phase of a single well (the free oscillator included), and
-    SolverError when the root is not finite, or w^(k/2) overflows or
-    underflows to 0.
+    SolverError when the root is not finite or negative, or w^(k/2)
+    overflows or underflows to 0.
     """
     g, lam, k = spec.g, spec.lam, spec.k
     if phase is Phase.SPONTANEOUSLY_BROKEN and k == 4 and g < 0.0:
@@ -350,6 +345,8 @@ def solve_gap(spec: OscillatorSpec, x: float, phase: Phase) -> float:
         w = _refine_bracket(coeffs, math.sqrt(0.6 * g), 1.0 + max(-coeffs[0], g))
     if not math.isfinite(w):
         raise SolverError("non-finite frequency %r at coupling %g, x = %g" % (w, lam, x))
+    if w < 0.0:  # w = 0 fails below, as an underflow
+        raise SolverError("negative frequency %r at coupling %g, x = %g" % (w, lam, x))
     try:
         w_power = w ** (k // 2)  # the moments divide by w^(k/2)
     except OverflowError:

@@ -7,7 +7,9 @@ stationarity conditions of `gap`.  The resulting effective Hamiltonian
 
     H0 = p**2/2 + (w**2/2)(f - s)**2 + h0,   h0 = lam*C - w**2 s**2 / 2
 
-carries the whole leading-order spectrum: E0 = w*x + h0 with x = n + 1/2.
+carries the whole leading-order spectrum: E0 = w*x + h0 with x = n + 1/2,
+which at a root of the gap condition reduces to a closed form in w for
+every family but the displaced sextic.
 
 For a double well (g < 0) two families of stationary points compete: the
 undisplaced, symmetry-restored one (s = 0) and displaced, broken-symmetry
@@ -57,8 +59,10 @@ class EffectiveSolution:
     """One level's solved effective oscillator.
 
     s is reported non-negative (the two displaced minima are mirror images;
-    only s**2 is observable).  E0 = w*x + h0 and equals the averaged full
-    Hamiltonian in the trial state by construction.
+    only s**2 is observable).  E0, the averaged full Hamiltonian in the trial
+    state, is exact: the closed form in w of `_closed_form_energy`, or w*x + h0
+    for the displaced sextic, which has none.  Elsewhere w*x + h0 matches E0
+    only to the round-off of C, a difference of moments (NaN at extremes).
     """
 
     spec: OscillatorSpec
@@ -124,7 +128,7 @@ def ssb_displacement(spec: OscillatorSpec, x: float, w: float) -> float:
         raise ValueError("frequency w must be positive, got %r" % (w,))
     g, lam, k = spec.g, spec.lam, spec.k
     if k == 4:
-        s_sq = (-g - 12.0 * lam * x / w) / (4.0 * lam)
+        s_sq = _quartic_s_sq(g, lam, x, w)
         if s_sq < 0.0:
             raise NoSSBSolution(
                 "no displaced quartic solution at w=%g (s² would be %g)" % (w, s_sq)
@@ -134,6 +138,11 @@ def ssb_displacement(spec: OscillatorSpec, x: float, w: float) -> float:
     if math.isnan(u):
         raise NoSSBSolution("displaced sextic stationarity roots are negative at w=%g" % w)
     return float(u)
+
+
+def _quartic_s_sq(g, lam, x, w):
+    """`ssb_displacement`'s quartic s², elementwise in lam, x and w."""
+    return (-g - 12.0 * lam * x / w) / (4.0 * lam)
 
 
 def _sextic_s_sq(w, x, g, lam):
@@ -166,14 +175,35 @@ def _sextic_ssb_residual(w, x, g, lam):
     )
 
 
+def _closed_form_energy(k: int, g: float, lam, x, w, phase: Phase):
+    """E0 at a root w of the gap condition, elementwise in lam, x and w: (x/4)(3w + g/w),
+    (x/3)(2w + g/w), (x/8)(5w + 3g/w) undisplaced for k = 4, 6, 8, and for the displaced
+    quartic (x/4)(3w + 2|g|/w) - g (g/(16 lam)), finite where g² overflows.  The
+    displaced sextic has no closed form."""
+    if phase is Phase.SPONTANEOUSLY_BROKEN:
+        assert k == 4, "the displaced sextic has no closed-form energy"
+        return (x / 4.0) * (3.0 * w + 2.0 * abs(g) / w) - g * (g / (16.0 * lam))
+    if k == 4:
+        return (x / 4.0) * (3.0 * w + g / w)
+    if k == 6:
+        return (x / 3.0) * (2.0 * w + g / w)
+    return (x / 8.0) * (5.0 * w + 3.0 * g / w)
+
+
 def _assemble(spec: OscillatorSpec, n: int, x: float, phase: Phase, w: float,
               s_sq: float) -> EffectiveSolution:
+    """The record of a solved (w, s²): A, B, C and h0 from `potential_params`;
+    E0 from `_closed_form_energy`, or w x + h0 for the displaced sextic."""
     s = math.sqrt(s_sq)
     A, B, C = potential_params(spec, s, w, x)
     h0 = spec.lam * C - 0.5 * w * w * s_sq
+    if phase is Phase.SPONTANEOUSLY_BROKEN and spec.k == 6:
+        E0 = w * x + h0
+    else:
+        E0 = _closed_form_energy(spec.k, spec.g, spec.lam, x, w, phase)
     return EffectiveSolution(
         spec=spec, n=n, phase=phase, w=w, s=s, s_sq=s_sq,
-        A=A, B=B, C=C, h0=h0, E0=w * x + h0,
+        A=A, B=B, C=C, h0=h0, E0=E0,
     )
 
 
@@ -367,13 +397,13 @@ def level_grid(k: int, g: float, lams, levels) -> LevelGrid:
     """`level_solution(OscillatorSpec(k, g, lam), n)` on every (lam, n) cell, in one numpy pass.
 
     Bit for bit the scalar solve: the same seeds, the masked forms of its
-    Newton polish and octic bracket, and `_assemble`'s arithmetic run
-    elementwise in the same operation order.  Only + - * / and sqrt, which
-    round correctly, are vectorized; each ``**`` is taken per cell with
-    Python's pow.  A displaced sextic cell calls `sextic_ssb_solutions`.  A
-    cell where the scalar solve would raise (a frequency that is not
-    positive and finite, or whose w^(k/2) overflows or is 0) is handed to
-    `level_solution` itself, which gives its solution or its failure.
+    Newton polish and octic bracket, and `_closed_form_energy`, elementwise.
+    Only + - * / and sqrt, which round correctly, are vectorized; each ``**``
+    is taken per cell with Python's pow.  A displaced sextic cell calls
+    `sextic_ssb_solutions`.  A cell where the scalar solve would raise (w not
+    positive and finite, w^(k/2) overflowing or 0, or an s^4 or x^3 that
+    overflows) is handed to `level_solution`, which gives its solution or
+    its failure.
     """
     rows, width = len(lams), len(levels)
     failures, specs = {}, []
@@ -383,28 +413,29 @@ def level_grid(k: int, g: float, lams, levels) -> LevelGrid:
         except ValueError as exc:
             specs.append(None)
             failures[row * width] = exc
-    # per level: x, the undisplaced level factor and x**3; the displaced
-    # quartic's level factor p(x) and critical coupling
+    # per level: x and the undisplaced level factor; the displaced quartic's
+    # level factor p(x) and critical coupling
     displaced_quartic = g < 0.0 and k == 4
     per_level, scalar_level = [], []
     for n in levels:
         try:
             x = level_x(n)
+            if k == 6:
+                x**3  # <f^6> takes x**3: where it overflows, every row's cell fails
             per_level.append((x, _level_factor(k, Phase.SYMMETRY_RESTORED, x),
-                              x**3 if k == 6 else 0.0,
                               *((factor_p(x), critical_coupling(-g, x)) if displaced_quartic
                                 else (0.0, 0.0))))
             scalar_level.append(False)
         except (ValueError, ArithmeticError):  # level_solution raises it for the level's cells
-            per_level.append((math.nan,) * 5)
+            per_level.append((math.nan,) * 4)
             scalar_level.append(True)
     valid = np.repeat(np.array([spec is not None for spec in specs], dtype=bool), width)
     scalar = valid & np.tile(np.array(scalar_level, dtype=bool), rows)
     cells = np.flatnonzero(valid & ~scalar)
     lam = np.asarray(lams, dtype=float)[cells // width]
-    x, factor, x3, factor_p_, lam_c = np.array(per_level).reshape(width, 5)[cells % width].T
+    x, factor, factor_p_, lam_c = np.array(per_level).reshape(width, 4)[cells % width].T
     with np.errstate(all="ignore"):
-        w, e0, failed = _undisplaced_cells(k, g, lam, x, factor, x3)
+        w, e0, failed = _undisplaced_cells(k, g, lam, x, factor)
         ssb = np.zeros(cells.size, dtype=bool)
         if displaced_quartic:
             w_ssb, e0_ssb, failed_ssb = _displaced_quartic_cells(g, lam, x, factor_p_, lam_c)
@@ -457,13 +488,13 @@ def _pow_cells(values, p: int):
 
 
 def _checked_frequency(k: int, w):
-    """w**(k/2) per cell, and the cells `solve_gap` or `_assemble` would reject:
-    w not positive and finite, or w^(k/2) overflowing or 0."""
+    """The cells `solve_gap` would reject: w not positive and finite, or
+    w^(k/2) overflowing or 0."""
     w_power, raised = _pow_cells(w, k // 2)
-    return w_power, raised | ~np.isfinite(w) | ~(w > 0.0) | (w_power == 0.0)
+    return raised | ~np.isfinite(w) | ~(w > 0.0) | (w_power == 0.0)
 
 
-def _undisplaced_cells(k, g, lam, x, factor, x3):
+def _undisplaced_cells(k, g, lam, x, factor):
     """(w, E0, failed) of the undisplaced family, elementwise as `solve_gap` and
     `_assemble`; a failed cell is one where the scalar solve raises."""
     coeffs = _coefficients(k, g, lam, factor, Phase.SYMMETRY_RESTORED)
@@ -483,89 +514,35 @@ def _undisplaced_cells(k, g, lam, x, factor, x3):
         w = _refine_brackets(coeffs, np.sqrt(0.6 * g), 1.0 + np.where(g > c, g, c))
     if g > 0.0:
         w = np.where(lam == 0.0, np.sqrt(g), w)
-    w_power, rejected = _checked_frequency(k, w)
-    zero = np.zeros(lam.size)
-    w3 = _pow_cells(w, 3)[0] if k == 8 else w_power  # only the sextic and octic take w**3
-    e0 = _assembled_energy(k, lam, x, w, zero, zero, w3, w_power, x3, factor)
-    return w, e0, failed | rejected
+    e0 = _closed_form_energy(k, g, lam, x, w, Phase.SYMMETRY_RESTORED)
+    return w, e0, failed | _checked_frequency(k, w)
 
 
 def _displaced_quartic_cells(g, lam, x, factor, lam_c):
     """(w, E0, failed) of the displaced quartic family, elementwise as `solve_gap`,
     `ssb_displacement` and `_assemble`, given each cell's critical coupling;
     E0 is NaN where the family has no solution."""
-    failed = np.zeros(lam.size, dtype=bool)
     solvable = ~(lam > lam_c * (1.0 + 1e-12))
-    seeds = np.full(lam.size, math.nan)
-    for i in np.flatnonzero(solvable).tolist():
-        try:
-            seeds[i] = _quartic_ssb_root(-g, lam[i].item(), lam_c[i].item())
-        except (ArithmeticError, ValueError):
-            failed[i] = True
-    solvable &= ~failed
     cells = np.flatnonzero(solvable)
+    # a valid row has lam > 0, so lam_c > 0 here and the seed cannot raise
+    seeds = [_quartic_ssb_root(-g, lam_i, lam_c_i)
+             for lam_i, lam_c_i in zip(lam[cells].tolist(), lam_c[cells].tolist())]
     w = np.full(lam.size, math.nan)
     coeffs = _coefficients(4, g, lam[cells], factor[cells], Phase.SPONTANEOUSLY_BROKEN)
-    w[cells] = _newton_polishes(coeffs, seeds[cells])
-    w_power, rejected = _checked_frequency(4, w)
-    failed |= solvable & rejected
-    s_sq = (-g - 12.0 * lam * x / w) / (4.0 * lam)
+    w[cells] = _newton_polishes(coeffs, seeds)
+    failed = solvable & _checked_frequency(4, w)
+    s_sq = _quartic_s_sq(g, lam, x, w)
     solvable &= ~failed & ~(s_sq < 0.0)
-    s_sq = np.where(solvable, s_sq, 0.0)
-    s4, raised = _pow_cells(np.sqrt(s_sq), 4)
-    e0 = _assembled_energy(4, lam, x, w, s_sq, s4, None, w_power, None, None)
-    return w, np.where(solvable, e0, math.nan), failed | raised
-
-
-def _assembled_energy(k, lam, x, w, s_sq, s4, w3, w_power, x3, h):
-    """`_assemble`'s E0 elementwise, in its operation order.  Each power the
-    scalar formulas take with ``**`` comes in per cell: s4 = s**4, w3 = w**3,
-    w_power = w**(k/2), x3 = x**3, and the octic factor h(x)."""
-    s = np.sqrt(s_sq)
-    s2 = s * s
-    if k == 4:
-        A = 6.0 * s2 + (3.0 + 12.0 * x * x) / (4.0 * x * w)
-        moment_k = s4 + 6.0 * s * s * (x / w) + (3.0 + 12.0 * x * x) / (8.0 * w * w)
-    elif k == 6:  # undisplaced only, so s**6 = s**4 = 0
-        A = (15.0 * s2 * s2
-             + 45.0 * s2 * (1.0 + 4.0 * x * x) / (4.0 * x * w)
-             + 15.0 * (5.0 + 4.0 * x * x) / (8.0 * w * w))
-        moment_k = (s4 + 15.0 * s4 * (x / w)
-                    + 15.0 * s * s * ((3.0 + 12.0 * x * x) / (8.0 * w * w))
-                    + (25.0 * x + 20.0 * x3) / (8.0 * w3))
-    else:
-        A = 35.0 * h / (2.0 * w3)
-        moment_k = 35.0 * x * h / (8.0 * w_power)
-    B = np.where((s == 0.0) | (lam == 0.0), 0.0, w * w * s / lam)
-    C = moment_k - A * (s * s + x / w) + B * s
-    h0 = lam * C - 0.5 * w * w * s_sq
-    return w * x + h0
+    # <f^4> takes s**4, which fails the cell where it overflows
+    failed |= _pow_cells(np.sqrt(np.where(solvable, s_sq, 0.0)), 4)[1]
+    e0 = _closed_form_energy(4, g, lam, x, w, Phase.SPONTANEOUSLY_BROKEN)
+    return w, np.where(solvable, e0, math.nan), failed
 
 
 def lo_energy_closed_form(spec: OscillatorSpec, n: int, phase: Phase) -> float:
-    """Leading-order energy of the requested phase from its closed form.
-
-    Undisplaced families (signed g):
-        quartic (x/4)(3w + g/w),  sextic (x/3)(2w + g/w),  octic (x/8)(5w + 3g/w).
-    Displaced quartic: (x/4)(3w + 2|g|/w) - g²/(16 lam).
-    The displaced sextic has no closed form; its lowest state is evaluated
-    variationally.  Displaced phases are solved by `phase_solution`, which
-    rejects single wells.  Agrees with `level_solution(...).E0` at the same
-    phase.
-    """
-    x = level_x(n)
-    g = spec.g
-    if phase is Phase.SPONTANEOUSLY_BROKEN:
-        sol = phase_solution(spec, n, phase)
-        if spec.k == 6:
-            return sol.E0
-        return (x / 4.0) * (3.0 * sol.w + 2.0 * abs(g) / sol.w) - g * g / (16.0 * spec.lam)
-    w = solve_gap(spec, x, phase)
-    if spec.k == 4:
-        return (x / 4.0) * (3.0 * w + g / w)
-    if spec.k == 6:
-        return (x / 3.0) * (2.0 * w + g / w)
-    return (x / 8.0) * (5.0 * w + 3.0 * g / w)
+    """Leading-order energy of level n in the requested phase: the E0 of
+    `phase_solution`, which raises as it does."""
+    return phase_solution(spec, n, phase).E0
 
 
 def well_referenced_energy(spec: OscillatorSpec, e0: float) -> float:

@@ -82,6 +82,21 @@ def test_exit_code_usage_errors(capsys):
         assert "unrecognized arguments: --dim 20" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lambda", "0.1:1", "range must be a:b:step, got '0.1:1'"),
+    ("--lambda", "0.1:1:0", "range step must be positive"),
+    ("--lambda", "0.1:1:-0.5", "range step must be positive"),
+    ("--lambda", "2:1:1", "empty range '2:1:1'"),
+    ("--lambda", ",", "empty value list"),
+    ("--levels", ",", "empty level list"),
+    ("--levels", "5..2", "descending level range '5..2'"),
+])
+def test_list_flag_parse_errors_are_invalid_requests(capsys, flag, value, message):
+    argv = ["spectrum", "--kind", "quartic-aho", "--lambda", "0.1", "--levels", "0"]
+    argv[argv.index(flag) + 1] = value
+    assert invoke(capsys, argv) == (2, "", f"effosc: invalid request: {message}\n")
+
+
 def test_exit_code_numerical_failure(capsys):
     # forced displaced branch above its critical coupling
     code, out, err = invoke(
@@ -725,16 +740,50 @@ def test_quartic_cubic_past_the_cube_overflow(capsys, kind, g, phase, w, e0):
     assert (rec["w"], rec["E0"]) == (w, e0)
 
 
+@pytest.mark.parametrize("g, lam, phase, rec", [
+    # the SR root w ~ 6 lam f/|g| cancelled out of Cardano's u - p/(3u): it was
+    # -2.25 (exit 2, "frequency w must be positive") and 2.2e-16
+    ("-1e30", "1", "auto", ("SSB", 1.414213562e15, -6.25e58)),
+    ("-1e30", "1", "sr", ("SR", 6e-30, -2.083333333e58)),
+    ("-1", "1e-150", "sr", ("SR", 6e-150, -2.083333333e148)),
+])
+def test_quartic_double_well_tiny_sr_root(capsys, g, lam, phase, rec):
+    code, out, err = invoke(capsys, ["spectrum", "--kind", "quartic-dwo", "--g", g, "--lambda", lam,
+                                     "--levels", "0", "--phase", phase])
+    assert (code, err) == (0, "")
+    (got,) = json.loads(out)["records"]
+    assert (got["phase"], got["w"], got["E0"]) == rec
+
+
+def _ssb_power_failure(g, lam):
+    return (f"effosc: numerical failure: SSB state of k=4 at g={float(g)!r}, "
+            f"lambda={float(lam)!r}, x = 0.5: a power of a float is not finite\n")
+
+
 @pytest.mark.parametrize("g, lam, what", [
     ("-1e210", "1e100", "the critical coupling's (2|g|/3)^1.5"),
     ("-1e-100", "1e-300", "s^4 in the displaced <f^4>"),
+    ("-1", "1e-160", "s^4 in the displaced <f^4>"),
 ])
 def test_quartic_power_overflow_names_the_state(capsys, g, lam, what):
+    # the SSB branch is forced: under auto the SR state may fail first
     code, out, err = invoke(capsys, ["spectrum", "--kind", "quartic-dwo", "--g", g,
-                                     "--lambda", lam, "--levels", "0"])
+                                     "--lambda", lam, "--levels", "0", "--phase", "ssb"])
     assert (code, out) == (3, ""), what
-    assert err == (f"effosc: numerical failure: SSB state of k=4 at g={float(g)!r}, "
-                   f"lambda={float(lam)!r}, x = 0.5: a power of a float is not finite\n")
+    assert err == _ssb_power_failure(g, lam)
+
+
+@pytest.mark.parametrize("g, lam, err", [
+    ("-1e210", "1e100", _ssb_power_failure("-1e210", "1e100")),
+    # the SR root 6 lam f/|g| = 6e-200 is solved before the SSB state is tried
+    ("-1e-100", "1e-300",
+     "effosc: numerical failure: frequency 6e-200 at coupling 1e-300, x = 0.5 "
+     "underflows: w^2 is 0\n"),
+    ("-1", "1e-160", _ssb_power_failure("-1", "1e-160")),
+])
+def test_quartic_auto_phase_names_the_first_failure(capsys, g, lam, err):
+    assert invoke(capsys, ["spectrum", "--kind", "quartic-dwo", "--g", g, "--lambda", lam,
+                           "--levels", "0"]) == (3, "", err)
 
 
 @pytest.mark.parametrize("g, w, e0", [

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from effosc import gap
 from effosc.errors import NoPhysicalRoot, SolverError
 from effosc.gap import critical_coupling, gap_polynomial, solve_gap
 from effosc.model import OscillatorSpec, Phase, factor_f, factor_h, factor_p, level_x
@@ -206,3 +208,26 @@ def test_quartic_sr_root_past_the_cube_overflow():
                 coeffs = gap_polynomial(spec, x, Phase.SYMMETRY_RESTORED).coefficients
                 p, wdp = octic_residual_bound(coeffs, w)
                 assert w > 0.0 and p <= Fraction(1e-15) * wdp, (g, n, lam, w)
+
+
+@pytest.mark.parametrize("g, lam, n", [
+    (1e-300, 1e-300, 0), (1e-300, 1e-300, 3),
+    (-1.0, 1e-150, 0), (-1e30, 1.0, 0), (-1e30, 1.0, 3),
+])
+def test_tiny_quartic_roots_to_full_relative_precision(g, lam, n):
+    # w^3 - g w = c with c = 6 lam f(x): at these couplings the closed-form
+    # root is cbrt(c) (g w is 1e-100 of c) or, in the double well, c/|g|
+    # (w^3 is below 1e-88 of |g| w), which Cardano's u - p/(3u) cancelled
+    # out; the Newton polish then stops on a step relative to w below w = 1
+    x = level_x(n)
+    c = 6.0 * lam * factor_f(x)
+    want = float(mpmath.cbrt(c)) if g > 0.0 else c / -g
+    w = solve_gap(OscillatorSpec(4, g, lam), x, Phase.SYMMETRY_RESTORED)
+    assert abs(w - want) <= 1e-15 * want, (w, want)
+
+
+def test_negative_root_is_a_solver_error(monkeypatch):
+    # the rule `spectrum._checked_frequency` applies to the grid's cells
+    monkeypatch.setattr(gap, "_quartic_sr_root", lambda g, q0: -2.25)
+    with pytest.raises(SolverError, match="negative frequency -2.25 at coupling 1, x = 0.5"):
+        solve_gap(OscillatorSpec(4, -1e30, 1.0), 0.5, Phase.SYMMETRY_RESTORED)

@@ -54,11 +54,24 @@ def test_invariant_chain():
 
 
 def test_closed_form_energies_match_assembled():
+    # the closed form against w x + h0, assembled from the A, B, C moments
     for spec, n, sol in solution_families():
         if spec.k == 6 and sol.phase is Phase.SPONTANEOUSLY_BROKEN:
-            continue  # no fixed closed form for the displaced sextic branch
+            continue  # no fixed closed form for the displaced sextic branch; E0 is w x + h0
         e = lo_energy_closed_form(spec, n, sol.phase)
-        assert e == pytest.approx(sol.E0, abs=1e-9 * max(1.0, abs(sol.E0))), (spec, n)
+        assembled = sol.w * level_x(n) + sol.h0
+        assert e == pytest.approx(assembled, abs=1e-9 * max(1.0, abs(e))), (spec, n)
+
+
+def test_energy_is_the_closed_form_where_C_is_not_finite():
+    # w = 4.7e-104: A = 5e207 and C = NaN, so w x + h0 is NaN; E0 is the
+    # closed form (x/3)(2w + g/w) that the forced-SR CLI path prints
+    spec = OscillatorSpec(6, -1e-92, 1e-300)
+    sol = phase_solution(spec, 0, Phase.SYMMETRY_RESTORED)
+    assert math.isnan(sol.C) and math.isnan(sol.w * 0.5 + sol.h0)
+    assert sol.E0 == (0.5 / 3.0) * (2.0 * sol.w + spec.g / sol.w)
+    assert format(sol.E0, ".10g") == "-3.513641845e+10"
+    assert lo_energy_closed_form(spec, 0, Phase.SYMMETRY_RESTORED) == sol.E0
 
 
 def test_contract_examples_quartic_single_well():
@@ -572,7 +585,8 @@ def test_level_grid_octic_roots_at_huge_and_shallow_couplings():
     (8, 1e300, 1.0),  # w^4 overflows
     (6, -1e64, 1e125),  # the displaced branch's quartic overflows
     (4, -1e210, 1e100),  # the critical coupling's (2|g|/3)^1.5 overflows
-    (4, -1e-100, 1e-300),  # s^4 of the displaced quartic state overflows
+    (4, -1e-100, 1e-300),  # the SR root 6e-200: w^2 underflows
+    (4, -1.0, 1e-160),  # s^4 of the displaced quartic state overflows
 ])
 def test_level_grid_failures_are_level_solutions(k, g, lam):
     assert_grid_matches_level_solution(k, g, [lam, 0.5], [0, 1])
@@ -582,6 +596,11 @@ def test_level_grid_failures_are_level_solutions(k, g, lam):
     with pytest.raises(SolverError) as want:
         level_solution(OscillatorSpec(k, g, lam), 0)
     assert str(raised.value) == str(want.value)
+
+
+def test_level_grid_sextic_level_past_the_cube_overflow():
+    # <f^6> takes x**3, which overflows for n ~ 1e103 in every row
+    assert_grid_matches_level_solution(6, 1.0, [1.0, 1e-300], [3, 10**103])
 
 
 def test_level_grid_quartic_past_the_cube_overflow():
