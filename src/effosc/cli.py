@@ -13,6 +13,7 @@ numerical failure (exit 3), as is a solve that runs out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -196,16 +197,18 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
         return
     out_path = os.path.abspath(out_path)
-    directory = os.path.dirname(out_path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".effosc-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out_path), prefix=".effosc-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, out_path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # a missing directory, a directory at the path, no permission
+        raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def _columns(records: list[dict]) -> dict:
@@ -560,6 +563,7 @@ def _add_output_flags(parser, *, fmt="json", convention=None) -> None:
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.cache  # built on the first `run`, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="effosc",

@@ -155,13 +155,7 @@ def _refine_bracket(coeffs, a, b):
         if abs(tn - t) <= 5e-16 * abs(tn):
             return tn
         t = tn
-    # Newton budget spent (a start far above a huge root): bisect the bracket
-    return _bisect(coeffs, a, fa, b)
-
-
-def _bisect(coeffs, a, fa, b):
-    """Root of the polynomial by bisection of [a, b], where it has the sign of fa at a."""
-    while True:
+    while True:  # Newton budget spent (a start far above a huge root): bisect the bracket
         t = 0.5 * (a + b)
         if not (a < t < b):
             return t
@@ -179,11 +173,11 @@ def _refine_brackets(coeffs, a, b):
 
     `coeffs` holds floats and per-cell arrays.  Each cell takes the scalar
     solver's steps and stops, in the same floating-point operations; a cell
-    still open after the 200 Newton steps finishes on the scalar bisection.
+    still open after the 200 Newton steps is left NaN.
     """
     b = np.asarray(b, dtype=float)
     a = np.broadcast_to(np.asarray(a, dtype=float), b.shape).copy()
-    root = np.empty_like(b)
+    root = np.full_like(b, math.nan)
     cell = np.arange(b.size)
     fa = _poly_eval(coeffs, a)
     at_a, at_b = fa == 0.0, _poly_eval(coeffs, b) == 0.0
@@ -209,16 +203,12 @@ def _refine_brackets(coeffs, a, b):
         root[cell[done]] = tn[done]
         keep = ~(hit | done)
         cell, a, fa, b, t = cell[keep], a[keep], fa[keep], b[keep], tn[keep]
-    for i, j in enumerate(cell.tolist()):
-        root[j] = _bisect(_take(coeffs, j), a[i].item(), fa[i].item(), b[i].item())
     return root
 
 
-def _take(coeffs, index):
-    """The coefficients of the cells at `index`: per-cell arrays are indexed, and
-    an int index gives that cell's coefficients as floats."""
-    return [(a[index].item() if isinstance(index, int) else a[index])
-            if isinstance(a, np.ndarray) else a for a in coeffs]
+def _take(coeffs, cells):
+    """The coefficients of `cells`: per-cell arrays are indexed, floats kept."""
+    return [a[cells] if isinstance(a, np.ndarray) else a for a in coeffs]
 
 
 # ---------------------------------------------------------------------------

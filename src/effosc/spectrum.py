@@ -393,17 +393,28 @@ class LevelGrid:
             raise self.failures[cell]
 
 
+# A plain value lies strictly inside (1/_PLAIN, _PLAIN): no power the scalar
+# solve takes of it (w^(k/2), w^3, w^4, x^3, s^4, (2|g|/3)^1.5) overflows or
+# reaches 0.
+_PLAIN = 2.0**250
+
+
+def _plain(v):
+    """Where v, a float or an array, lies strictly inside (1/_PLAIN, _PLAIN)."""
+    return (v > 1.0 / _PLAIN) & (v < _PLAIN)
+
+
 def level_grid(k: int, g: float, lams, levels) -> LevelGrid:
     """`level_solution(OscillatorSpec(k, g, lam), n)` on every (lam, n) cell, in one numpy pass.
 
-    Bit for bit the scalar solve: the same seeds, the masked forms of its
-    Newton polish and octic bracket, and `_closed_form_energy`, elementwise.
-    Only + - * / and sqrt, which round correctly, are vectorized; each ``**``
-    is taken per cell with Python's pow.  A displaced sextic cell calls
-    `sextic_ssb_solutions`.  A cell where the scalar solve would raise (w not
-    positive and finite, w^(k/2) overflowing or 0, or an s^4 or x^3 that
-    overflows) is handed to `level_solution`, which gives its solution or
-    its failure.
+    The pass solves the plain cells, those whose x, |g| (unless 0) and w, and
+    the displaced quartic's w and s² where it is solvable, are plain values.
+    There it is bit for bit the scalar solve: the same seeds, the masked
+    forms of its Newton polish and octic bracket, and `_closed_form_energy`,
+    elementwise in + - * / and sqrt, which round correctly.  A displaced
+    sextic cell calls `sextic_ssb_solutions`.  Every other cell, and an octic
+    cell still open after the bracket's 200 Newton steps, is handed to
+    `level_solution`, which gives its solution or its failure.
     """
     rows, width = len(lams), len(levels)
     failures, specs = {}, []
@@ -414,35 +425,35 @@ def level_grid(k: int, g: float, lams, levels) -> LevelGrid:
             specs.append(None)
             failures[row * width] = exc
     # per level: x and the undisplaced level factor; the displaced quartic's
-    # level factor p(x) and critical coupling
+    # level factor p(x) and critical coupling; NaN where the level is not plain
     displaced_quartic = g < 0.0 and k == 4
-    per_level, scalar_level = [], []
+    per_level = []
     for n in levels:
         try:
             x = level_x(n)
-            if k == 6:
-                x**3  # <f^6> takes x**3: where it overflows, every row's cell fails
+        except (ValueError, ArithmeticError):  # level_solution raises it for the level's cells
+            x = math.nan
+        if _plain(x) and (g == 0.0 or _plain(abs(g))):
             per_level.append((x, _level_factor(k, Phase.SYMMETRY_RESTORED, x),
                               *((factor_p(x), critical_coupling(-g, x)) if displaced_quartic
                                 else (0.0, 0.0))))
-            scalar_level.append(False)
-        except (ValueError, ArithmeticError):  # level_solution raises it for the level's cells
+        else:
             per_level.append((math.nan,) * 4)
-            scalar_level.append(True)
+    per_level = np.array(per_level).reshape(width, 4)
     valid = np.repeat(np.array([spec is not None for spec in specs], dtype=bool), width)
-    scalar = valid & np.tile(np.array(scalar_level, dtype=bool), rows)
-    cells = np.flatnonzero(valid & ~scalar)
+    cells = np.flatnonzero(valid & np.tile(~np.isnan(per_level[:, 0]), rows))
     lam = np.asarray(lams, dtype=float)[cells // width]
-    x, factor, factor_p_, lam_c = np.array(per_level).reshape(width, 4)[cells % width].T
+    x, factor, factor_p_, lam_c = per_level[cells % width].T
     with np.errstate(all="ignore"):
-        w, e0, failed = _undisplaced_cells(k, g, lam, x, factor)
+        w, e0 = _undisplaced_cells(k, g, lam, x, factor)
+        plain = _plain(w)
         ssb = np.zeros(cells.size, dtype=bool)
         if displaced_quartic:
-            w_ssb, e0_ssb, failed_ssb = _displaced_quartic_cells(g, lam, x, factor_p_, lam_c)
-            failed |= failed_ssb
-            ssb = ~failed & (e0_ssb < e0)
+            w_ssb, e0_ssb, plain_ssb = _displaced_quartic_cells(g, lam, x, factor_p_, lam_c)
+            plain &= plain_ssb
+            ssb = e0_ssb < e0
             w, e0 = np.where(ssb, w_ssb, w), np.where(ssb, e0_ssb, e0)
-    scalar[cells[failed]] = True
+    cells, w, e0, ssb = cells[plain], w[plain], e0[plain], ssb[plain]
     w_all, e0_all = np.full(rows * width, math.nan), np.full(rows * width, math.nan)
     ssb_all = np.zeros(rows * width, dtype=bool)
     w_all[cells], e0_all[cells], ssb_all[cells] = w, e0, ssb
@@ -450,7 +461,7 @@ def level_grid(k: int, g: float, lams, levels) -> LevelGrid:
         phase=[Phase.SPONTANEOUSLY_BROKEN if b else Phase.SYMMETRY_RESTORED for b in ssb_all.tolist()],
         w=w_all.tolist(), E0=e0_all.tolist(), failures=failures)
     if g < 0.0 and k == 6:  # the displaced family competes as in level_solution
-        for i in cells[~failed].tolist():
+        for i in cells.tolist():
             try:
                 sol = phase_solution(specs[i // width], levels[i % width], Phase.SPONTANEOUSLY_BROKEN)
             except (NoPhysicalRoot, NoSSBSolution):
@@ -460,7 +471,8 @@ def level_grid(k: int, g: float, lams, levels) -> LevelGrid:
                 continue
             if sol.E0 < grid.E0[i]:
                 grid.phase[i], grid.w[i], grid.E0[i] = sol.phase, sol.w, sol.E0
-    for i in np.flatnonzero(scalar).tolist():
+    valid[cells] = False
+    for i in np.flatnonzero(valid).tolist():  # the cells the pass did not solve
         try:
             sol = level_solution(specs[i // width], levels[i % width])
         except Exception as exc:
@@ -470,43 +482,12 @@ def level_grid(k: int, g: float, lams, levels) -> LevelGrid:
     return grid
 
 
-def _pow_cells(values, p: int):
-    """values**p per cell with Python's float pow (numpy's power may differ from
-    C pow in the last bit), and the cells where it raises, which hold NaN."""
-    values = values.tolist()
-    raised = np.zeros(len(values), dtype=bool)
-    try:
-        return np.array([v**p for v in values]), raised
-    except ArithmeticError:
-        out = np.full(len(values), math.nan)
-        for i, v in enumerate(values):
-            try:
-                out[i] = v**p
-            except ArithmeticError:
-                raised[i] = True
-        return out, raised
-
-
-def _checked_frequency(k: int, w):
-    """The cells `solve_gap` would reject: w not positive and finite, or
-    w^(k/2) overflowing or 0."""
-    w_power, raised = _pow_cells(w, k // 2)
-    return raised | ~np.isfinite(w) | ~(w > 0.0) | (w_power == 0.0)
-
-
 def _undisplaced_cells(k, g, lam, x, factor):
-    """(w, E0, failed) of the undisplaced family, elementwise as `solve_gap` and
-    `_assemble`; a failed cell is one where the scalar solve raises."""
+    """(w, E0) of the undisplaced family, elementwise as `solve_gap` and `_assemble`,
+    on cells whose x and |g| are plain, where no seed raises."""
     coeffs = _coefficients(k, g, lam, factor, Phase.SYMMETRY_RESTORED)
-    failed = np.zeros(lam.size, dtype=bool)
     if k == 4:
-        seeds = np.full(lam.size, math.nan)
-        for i, c0 in enumerate(coeffs[0].tolist()):
-            try:
-                seeds[i] = _quartic_sr_root(g, c0)
-            except (ArithmeticError, ValueError):
-                failed[i] = True
-        w = _newton_polishes(coeffs, seeds)
+        w = _newton_polishes(coeffs, [_quartic_sr_root(g, c0) for c0 in coeffs[0].tolist()])
     elif k == 6:
         w = _newton_polishes(coeffs, _sextic_sr_root(g, coeffs[0], np.sqrt))
     else:
@@ -514,14 +495,14 @@ def _undisplaced_cells(k, g, lam, x, factor):
         w = _refine_brackets(coeffs, np.sqrt(0.6 * g), 1.0 + np.where(g > c, g, c))
     if g > 0.0:
         w = np.where(lam == 0.0, np.sqrt(g), w)
-    e0 = _closed_form_energy(k, g, lam, x, w, Phase.SYMMETRY_RESTORED)
-    return w, e0, failed | _checked_frequency(k, w)
+    return w, _closed_form_energy(k, g, lam, x, w, Phase.SYMMETRY_RESTORED)
 
 
 def _displaced_quartic_cells(g, lam, x, factor, lam_c):
-    """(w, E0, failed) of the displaced quartic family, elementwise as `solve_gap`,
-    `ssb_displacement` and `_assemble`, given each cell's critical coupling;
-    E0 is NaN where the family has no solution."""
+    """(w, E0, plain) of the displaced quartic family, elementwise as `solve_gap`,
+    `ssb_displacement` and `_assemble`, given each cell's critical coupling.
+    E0 is NaN where the family has no solution; a cell is plain unless it has
+    one whose w or s² is not plain."""
     solvable = ~(lam > lam_c * (1.0 + 1e-12))
     cells = np.flatnonzero(solvable)
     # a valid row has lam > 0, so lam_c > 0 here and the seed cannot raise
@@ -530,13 +511,10 @@ def _displaced_quartic_cells(g, lam, x, factor, lam_c):
     w = np.full(lam.size, math.nan)
     coeffs = _coefficients(4, g, lam[cells], factor[cells], Phase.SPONTANEOUSLY_BROKEN)
     w[cells] = _newton_polishes(coeffs, seeds)
-    failed = solvable & _checked_frequency(4, w)
     s_sq = _quartic_s_sq(g, lam, x, w)
-    solvable &= ~failed & ~(s_sq < 0.0)
-    # <f^4> takes s**4, which fails the cell where it overflows
-    failed |= _pow_cells(np.sqrt(np.where(solvable, s_sq, 0.0)), 4)[1]
+    plain = ~solvable | (_plain(w) & ((s_sq < 0.0) | _plain(s_sq)))
     e0 = _closed_form_energy(4, g, lam, x, w, Phase.SPONTANEOUSLY_BROKEN)
-    return w, np.where(solvable, e0, math.nan), failed
+    return w, np.where(s_sq < 0.0, math.nan, e0), plain
 
 
 def lo_energy_closed_form(spec: OscillatorSpec, n: int, phase: Phase) -> float:

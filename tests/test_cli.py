@@ -195,6 +195,18 @@ def test_no_partial_file_on_failure(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unwritable_out_path_is_an_invalid_request(capsys, tmp_path):
+    # a missing directory, and a directory at the path: exit 2, nothing left behind
+    (tmp_path / "taken").mkdir()
+    for target in (tmp_path / "missing" / "x.csv", tmp_path / "taken"):
+        code, out, err = invoke(capsys, ["table", "--id", "1", "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"effosc: invalid request: cannot write {target}: ")
+        assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
+
+
 def test_table_2_matches_module_recomputation(capsys):
     code, out, _ = invoke(capsys, ["table", "--id", "2", "--format", "json"])
     assert code == 0
@@ -353,6 +365,24 @@ def test_module_entrypoint():
     assert proc.returncode == 0
     header = proc.stdout.split("\n", 1)[0]
     assert header.startswith("kind,g,lambda,lambda_table,n,")
+
+
+def test_one_process_prints_what_separate_processes_print(capsys, monkeypatch):
+    # the parser is built once per process: a usage error, a valid request and
+    # another subcommand run in turn give what each gives in a process of its own
+    import effosc.cli as cli
+
+    argvs = [["spectrum", "--kind", "nope"],
+             ["spectrum", "--kind", "quartic-aho", "--lambda", "0.1", "--levels", "0..2"],
+             ["table", "--id", "1"],
+             ["spectrum", "--kind", "nope"]]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal width
+    together = [invoke(capsys, argv) for argv in argvs]
+    alone = [subprocess.run([sys.executable, "-m", "effosc.cli", *argv], capture_output=True, text=True)
+             for argv in argvs]
+    assert together == [(proc.returncode, proc.stdout, proc.stderr) for proc in alone]
+    assert [code for code, _, _ in together] == [2, 0, 0, 2]
+    assert cli._build_parser() is cli._build_parser()
 
 
 @settings(max_examples=120, deadline=None)

@@ -7,7 +7,8 @@ Every cell's SR frequency, wherever it solves, obeys the scaling law
 
     w(g, lam) = lam^(2/(k+2)) w(g lam^(-4/(k+2)), 1)
 
-to 1e-12 relative (`_law_w`).
+to 1e-12 relative (`_law_w`), and every grid the automatic phase solves is
+`level_solution`'s, cell by cell.
 """
 import contextlib
 import functools
@@ -23,6 +24,7 @@ from effosc.errors import SolverError
 from effosc.gap import gap_polynomial, solve_gap
 from effosc.model import OscillatorSpec, Phase, level_x
 from effosc.spectrum import level_grid, phase_solution
+from test_spectrum import assert_grid_matches_level_solution
 
 EXPONENTS = range(-300, 301, 25)
 LAMS = [float(f"1e{e}") for e in EXPONENTS]
@@ -107,14 +109,15 @@ def _gate(argv):
 
 def _recorded(grids):
     def solve(*args):
-        grids.append(level_grid(*args))
-        return grids[-1]
+        grids.append((args, level_grid(*args)))
+        return grids[-1][1]
     return solve
 
 
 @functools.lru_cache(maxsize=None)
 def _scan():
-    """(gate problems, cells whose SR frequency breaks the law) over the grid.
+    """(gate problems, cells whose SR frequency breaks the law, and the
+    (arguments, grid) of each `level_grid` call) over the grid.
 
     The SR frequencies come unrounded from the grid that the automatic
     phase's run solves, and from `phase_solution` where a double well's
@@ -122,8 +125,6 @@ def _scan():
     """
     problems, broken, grids = [], [], []
     with pytest.MonkeyPatch.context() as patch:
-        # every argv parses with the same parser: build it once
-        patch.setattr(cli, "_build_parser", functools.lru_cache(maxsize=None)(cli._build_parser))
         patch.setattr(cli, "level_grid", _recorded(grids))
         for kind, (k, sign) in cli._KINDS.items():
             for e in EXPONENTS:
@@ -132,7 +133,7 @@ def _scan():
                     problems += _gate(["spectrum", "--kind", kind, f"--g={g!r}", "--lambda",
                                        ",".join(map(repr, LAMS)), "--levels", "0,1000",
                                        "--phase", phase])
-                grid = grids.pop()
+                grid = grids[-1][1]
                 for i, (lam, n) in enumerate((lam, n) for lam in LAMS for n in LEVELS):
                     if i not in grid.failures and grid.phase[i] is SR:
                         w = grid.w[i]
@@ -145,13 +146,18 @@ def _scan():
                         continue
                     if not _law_holds(k, g, lam, n, w):
                         broken.append((k, g, lam, n))
-    return problems, broken
+    return problems, broken, grids
 
 
 def test_extreme_couplings_exit_cleanly_and_obey_the_scaling_law():
-    problems, broken = _scan()
+    problems, broken, _ = _scan()
     assert problems == []
     assert [cell for cell in broken if cell not in KNOWN_WRONG] == []
+
+
+def test_extreme_coupling_grids_are_level_solutions():
+    for args, grid in _scan()[2]:
+        assert_grid_matches_level_solution(*args, grid=grid)
 
 
 @pytest.mark.xfail(strict=True, reason="the quartic seed underflows (ROADMAP item 5)")

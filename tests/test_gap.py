@@ -227,7 +227,7 @@ def test_tiny_quartic_roots_to_full_relative_precision(g, lam, n):
 
 
 def test_negative_root_is_a_solver_error(monkeypatch):
-    # the rule `spectrum._checked_frequency` applies to the grid's cells
+    # `spectrum.level_grid` hands such a cell, whose w is not plain, to this scalar solve
     monkeypatch.setattr(gap, "_quartic_sr_root", lambda g, q0: -2.25)
     with pytest.raises(SolverError, match="negative frequency -2.25 at coupling 1, x = 0.5"):
         solve_gap(OscillatorSpec(4, -1e30, 1.0), 0.5, Phase.SYMMETRY_RESTORED)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_tables as ref
+import effosc.spectrum as spectrum
 from effosc.errors import NoPhysicalRoot, NoSSBSolution, SolverError
 from effosc.gap import critical_coupling
 from effosc.ipt import rs_corrections
@@ -513,10 +514,12 @@ def test_level_index_checked_at_entry_points(name):
 KINDS = [(4, 1.0), (4, -1.0), (6, 1.0), (6, -1.0), (8, 1.0)]
 
 
-def assert_grid_matches_level_solution(k, g, lams, levels):
-    """Every cell of `level_grid` is `level_solution`'s (phase, w, E0) bit for
-    bit, or fails with its error; an invalid coupling fails its row's first cell."""
-    grid = level_grid(k, g, lams, levels)
+def assert_grid_matches_level_solution(k, g, lams, levels, grid=None):
+    """Every cell of `level_grid` (or of `grid`, its result on these cells) is
+    `level_solution`'s (phase, w, E0) bit for bit, or fails with its error; an
+    invalid coupling fails its row's first cell."""
+    if grid is None:
+        grid = level_grid(k, g, lams, levels)
     for i, (lam, n) in enumerate((lam, n) for lam in lams for n in levels):
         try:
             spec = OscillatorSpec(k, g, lam)
@@ -607,6 +610,71 @@ def test_level_grid_quartic_past_the_cube_overflow():
     # (-g)^3 overflows past |g| ~ 5.6e102: the scaled cubic gives the seeds
     for g in (1e103, 1e150, 1e300, -1e103, -1e150):
         assert_grid_matches_level_solution(4, g, [1e-300, 1e-5, 1.0, 1e5, 1e300], [0, 3, 1000])
+
+
+def _handed_over(monkeypatch, k, g, lams, levels):
+    """The (lam, n) cells `level_grid` hands to `level_solution`, in order."""
+    handed = []
+
+    def counted(spec, n):
+        handed.append((spec.lam, n))
+        return level_solution(spec, n)
+
+    monkeypatch.setattr(spectrum, "level_solution", counted)
+    level_grid(k, g, lams, levels)
+    monkeypatch.undo()
+    return handed
+
+
+@pytest.mark.parametrize("k, g, lo, hi", [
+    (4, 1.0, 0.01, 10.0), (4, -1.0, 0.01, 10.0), (6, 1.0, 0.01, 10.0),
+    (8, 1.0, 0.01, 1.0), (6, -3.0, 0.005, 0.1),
+])
+def test_level_grid_solves_the_sweep_shapes_in_its_pass(monkeypatch, k, g, lo, hi):
+    # the couplings and levels of the benchmark's `spectrum` sweeps: a handed
+    # over cell costs a scalar solve on top of the pass
+    lams = np.geomspace(lo, hi, 400).tolist()
+    assert _handed_over(monkeypatch, k, g, lams, range(10)) == []
+
+
+EDGE = 2.0**250  # the plain range is (1/EDGE, EDGE)
+# (k, g, lams, levels, the cells handed over): each grid mixes plain cells
+# with cells just inside and just outside an edge of the plain range
+PLAIN_EDGES = [
+    # w: the sextic root of w^4 = 22.5 lam at x = 1/2, on both edges
+    (6, 0.0, [EDGE**4 / 22.5 * (1.0 - 1e-12), EDGE**4 / 22.5 * (1.0 + 1e-12), 0.5], [0],
+     [(EDGE**4 / 22.5 * (1.0 + 1e-12), 0)]),
+    (6, 0.0, [EDGE**-4 / 22.5 * (1.0 + 1e-12), EDGE**-4 / 22.5 * (1.0 - 1e-12), 0.5], [0],
+     [(EDGE**-4 / 22.5 * (1.0 - 1e-12), 0)]),
+    # w: the quartic root of w^3 = 6 lam at x = 1/2 (its upper edge is past
+    # the overflow of the seed's q^2, which fails the cell)
+    (4, 0.0, [EDGE**-3 / 6.0 * (1.0 + 1e-12), EDGE**-3 / 6.0 * (1.0 - 1e-12), 0.5], [0],
+     [(EDGE**-3 / 6.0 * (1.0 - 1e-12), 0)]),
+    # x: a level whose x is the float just below EDGE, and x = EDGE
+    (4, 1.0, [0.5, 2.0], [0, 2**250 - 2**197, 2**250], [(0.5, 2**250), (2.0, 2**250)]),
+    # s^2 = (|g| - 12 lam x / w) / (4 lam) of the displaced quartic, about
+    # 1/(4 lam) at g = -1; below the critical coupling s^2 is at least of
+    # order |g|^(-1/2), so a plain |g| never reaches the lower edge
+    (4, -1.0, [2.0**-252 * (1.0 + 1e-12), 2.0**-252 * (1.0 - 1e-12), 0.5], [10],
+     [(2.0**-252 * (1.0 - 1e-12), 10)]),
+    # lam = 1e300: the quartic seed's q^2 overflows, which leaves w = inf;
+    # an octic root (w ~ 2.5e20) that the bracket's 200 Newton steps leave open
+    (4, 1.0, [0.5, 1e300], [0, 1], [(1e300, 0), (1e300, 1)]),
+    (8, 1.0, [0.5, 1e100], [0, 1], [(1e100, 0), (1e100, 1)]),
+] + [
+    # |g| just inside either edge, and on it: every cell or none
+    (k, sign * g, [0.5, 1.0], [0, 1], [] if inside else [(0.5, 0), (0.5, 1), (1.0, 0), (1.0, 1)])
+    for k, sign in [(4, 1.0), (4, -1.0), (6, 1.0), (6, -1.0)]
+    for g, inside in [(np.nextafter(EDGE, 0.0), True), (EDGE, False),
+                      (np.nextafter(1.0 / EDGE, 1.0), True), (1.0 / EDGE, False)]
+]
+
+
+@pytest.mark.parametrize("k, g, lams, levels, handed", PLAIN_EDGES)
+def test_level_grid_hands_over_exactly_the_cells_outside_the_plain_range(
+        monkeypatch, k, g, lams, levels, handed):
+    assert _handed_over(monkeypatch, k, float(g), lams, levels) == handed
+    assert_grid_matches_level_solution(k, float(g), lams, levels)
 
 
 def test_level_grid_raises_the_first_failure_in_cell_order():
