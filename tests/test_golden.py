@@ -52,6 +52,13 @@ GOLDEN = {
     # quartic double well on both sides of the levels' critical couplings
     "spectrum-quartic-dwo-critical.json": [
         "spectrum", "--kind", "quartic-dwo", "--lambda", "0.01,0.05,0.09,0.2", "--levels", "0..5"],
+    # column writer: a many-coupling sweep with both phases and an integral g
+    "spectrum-quartic-dwo-sweep.json": [
+        "spectrum", "--kind", "quartic-dwo", "--lambda", "0.005:0.2:0.005", "--levels", "0..9"],
+    # column writer in CSV, with the paper convention's scaled energies
+    "spectrum-sextic-aho-paper.csv": [
+        "spectrum", "--kind", "sextic-aho", "--lambda", "0.01:10:0.25", "--levels", "0..9",
+        "--format", "csv", "--convention", "paper"],
 }
 
 
