@@ -17,9 +17,11 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import is_
 
 from . import __version__
 from .errors import SolverError, SSBUnsupported
@@ -105,7 +107,8 @@ def _json(value, indent: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_json(v, inner) for v in value]
+        floats = set(map(type, value)) == {float}
+        items = _float_texts(value, "json") if floats else [_json(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -222,6 +225,8 @@ _RECORD_INDENT = "\n      "  # the depth of a record's values in the JSON docume
 def _column_texts(values: list, fmt: str) -> list[str]:
     """Each value's text in one pass over the column: as `_json` writes it in a
     record, or as its CSV cell (10-digit numbers, lists joined by ';')."""
+    if len(values) > 1 and all(map(is_, values, repeat(values[0]))):  # one object repeated: a grid's g
+        return _column_texts(values[:1], fmt) * len(values)
     kinds = set(map(type, values))
     if kinds == {float}:
         return _float_texts(values, fmt)
@@ -231,7 +236,7 @@ def _column_texts(values: list, fmt: str) -> list[str]:
         text_of = {v: (_json_str if kinds == {str} else int.__repr__)(v) for v in set(values)}
         return list(map(text_of.__getitem__, values))
     if kinds <= {list, tuple}:
-        flat = [v for value in values for v in value]
+        flat = list(chain.from_iterable(values))
         if set(map(type, flat)) <= {float}:
             texts = iter(_float_texts(flat, fmt))
             if fmt != "json":
@@ -245,24 +250,36 @@ def _column_texts(values: list, fmt: str) -> list[str]:
             else _fmt(v) if isinstance(v, (int, float)) else str(v) for v in values]
 
 
+# "%.10g" texts that the per-value writers spell otherwise or refuse, loosely:
+# in JSON an integral text, e+10..e+15 and a subnormal; inf, nan and e+308 in both.
+_SUSPECT = {"json": re.compile(r"^[^.e\n]*$|^.*e(?:\+1|[+-]3).*$", re.M),
+            "csv": re.compile(r"^.*(?:n|e\+3).*$", re.M)}
+
+
 def _float_texts(values: list[float], fmt: str) -> list[str]:
-    """`_round10` of a column of floats, written for JSON or CSV; a run of one
-    float object (a coupling repeated over its levels) is rounded once."""
+    """`_round10` of a column of floats, written for JSON or CSV by one `%` call;
+    each distinct suspect text t is then rewritten from float(t), `_round10`'s
+    value for every float printed as t."""
+    text = "\n".join(["%.10g"] * len(values)) % tuple(values)
+    texts = text.split("\n") if values else []
+    if "e" not in text and "n" not in text and (fmt == "csv" or text.count(".") == len(texts)):
+        return texts  # the common case: no suspect text
+    suspects = set(_SUSPECT[fmt].findall(text))
     write = float.__repr__ if fmt == "json" else "{:.10g}".format
-    texts, last, text = [], None, None
-    for value in values:
-        if value is not last:
-            last, text = value, write(_round10(value))
-        texts.append(text)
-    return texts
+    try:
+        fixed = {t: write(_round10(float(t))) for t in suspects}
+    except SolverError:
+        list(map(_round10, values))  # raises for the first value that fails, by its own repr
+        raise
+    return list(map(fixed.get, texts, texts))
 
 
 def _render(meta: dict, table: dict, fmt: str, columns=None) -> str:
     """JSON, or CSV whose columns default to the table's, in order.
 
     `table` maps each record key to its column of values.  Each column is
-    encoded in one pass and every record is filled into one template made
-    from the key list.  The first value that is not finite once rounded, in
+    encoded in one pass, and one `%` call fills every record into a template
+    made from the key list.  The first value that is not finite once rounded, in
     record order, fails the request, as in the per-value writer `_json`.
     """
     # CSV prints no meta; rounding it anyway fails a request alike in both formats
@@ -275,20 +292,16 @@ def _render(meta: dict, table: dict, fmt: str, columns=None) -> str:
             for value in row:
                 _json(value)  # raises for the first value in record order
         raise
+    size = len(cells[0]) if cells else 0
+    cells = tuple(chain.from_iterable(zip(*cells)))  # record by record
     if fmt == "json":
         fields = ",".join("\n      " + _json_str(key).replace("%", "%%") + ": %s" for key in keys)
-        template = "{" + fields + "\n    }"
-        records = [template % row for row in zip(*cells)]
-        del cells
         head = '{\n  "meta": ' + meta_text + ',\n  "records": '
-        if not records:
+        if not size:
             return head + "[]\n}\n"
-        return "".join([head, "[\n    ", ",\n    ".join(records), "\n  ]\n}\n"])
-    template = ",".join(["%s"] * len(keys))
-    lines = [",".join(keys)] + [template % row for row in zip(*cells)]
-    del cells
-    lines.append("")
-    return "\n".join(lines)
+        records = ",\n    ".join(["{" + fields + "\n    }"] * size) % cells
+        return "".join([head, "[\n    ", records, "\n  ]\n}\n"])
+    return ",".join(keys) + "\n" + (",".join(["%s"] * len(keys)) + "\n") * size % cells
 
 
 def _output(args, subcommand: str, meta: dict, table: dict, columns=None) -> int:
@@ -306,17 +319,15 @@ def _level_record(kind, g, lam, n, phase, convention, w, e0, corrections, **afte
             "convention": convention, "w": w, "E0": e0, "corrections": corrections}
 
 
-_PHASE_VALUE = {phase: phase.value for phase in Phase}
-
-
 def _grid_table(kind, g, lams, levels, grid, convention, scale=1.0, **after_lambda) -> dict:
     """The level columns of a solved coupling-major grid; ``after_lambda``
     values are per coupling."""
-    size, width = len(lams) * len(levels), len(levels)
+    size = len(lams) * len(levels)
+    sr = Phase.SYMMETRY_RESTORED  # matched by identity: a Phase hashes in Python
     per_row = {key: [v for v in values for _ in levels] for key, values in after_lambda.items()}
     return _level_record(
         [kind] * size, [g] * size, [lam for lam in lams for _ in levels], list(levels) * len(lams),
-        [_PHASE_VALUE[phase] for phase in grid.phase], [convention] * size, grid.w,
+        ["SR" if phase is sr else "SSB" for phase in grid.phase], [convention] * size, grid.w,
         grid.E0 if scale == 1.0 else [scale * e0 for e0 in grid.E0], [[]] * size, **per_row)
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import struct
 import subprocess
 import sys
 import time
@@ -492,6 +494,86 @@ def test_column_writer_matches_the_per_value_writers(keys, size, fmt, data):
     else:
         want = _outcome(_csv_reference, meta, records, keys[::-1])
     assert _outcome(_render, meta, table, fmt, keys[::-1]) == want
+
+
+# "%.10g" texts of every kind the per-value writers spell otherwise, and values near them
+_LONG_COLUMN_SPECIALS = [
+    1.0, -1.0, 0.0, -0.0, 123456789.0, 1e10, -1.5e12, 2.345678901e15, 9.9999999996e15, 1e16,
+    5e-324, -2.5e-320, 1.234567891e-315, 2.2250738585072014e-308, 1e-300, 1.797693134e308,
+    -1.7976931344e308,
+]
+
+
+def _long_column_value(rng):
+    draw = rng.random()
+    if draw < 0.4:
+        return rng.choice(_LONG_COLUMN_SPECIALS)
+    if draw < 0.6:
+        return float(rng.randint(-10**17, 10**17))
+    if draw < 0.8:
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-323, 307)
+    bits = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+    return bits if abs(bits) < 1.797693134e308 else 0.5  # finite, and finite once rounded
+
+
+@pytest.mark.parametrize("refused, message", [
+    ([], None),
+    ([("w", 1500, _past_largest), ("E0", 700, -_past_largest)], "-1.7976931348e+308"),
+    ([("lambda", 1900, math.nan), ("lambda", 1200, -math.inf)], "-inf"),
+    ([("g", None, _past_largest)], "1.7976931348e+308"),
+], ids=["finite", "past-largest", "nan-inf", "constant"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_column_writer_matches_the_per_value_writers_on_long_columns(fmt, refused, message):
+    # 2000-row columns repeat each suspect text many times, so the column
+    # writer rewrites its distinct texts; a refused value sits at a later row
+    # of an earlier column than another, and the earlier row is reported; nan
+    # and inf are refused in a column whose other texts need no rewrite; g and
+    # order hold one object in every row, as a grid's g and empty corrections
+    from effosc.cli import _render
+
+    rng = random.Random(f"{fmt}-{message}")
+    size = 2000
+    table = {"w": [_long_column_value(rng) for _ in range(size)], "n": list(range(size)),
+             "E0": [_long_column_value(rng) for _ in range(size)],
+             "lambda": [rng.uniform(0.01, 10.0) for _ in range(size)], "g": [-1.0] * size,
+             "order": [[]] * size,
+             "corrections": [[_long_column_value(rng) for _ in range(rng.randrange(3))]
+                             for _ in range(size)]}
+    for key, row, value in refused:
+        if row is None:
+            table[key] = [value] * size
+        else:
+            table[key][row] = value
+    records = [dict(zip(table, row)) for row in zip(*table.values())]
+    meta = {"lambda": [_long_column_value(rng) for _ in range(size)]}
+    columns = ["E0", "n", "corrections", "w", "lambda", "g", "order"]
+    if fmt == "json":
+        want = _outcome(lambda: _json({"meta": meta, "records": records}) + "\n")
+    else:
+        want = _outcome(_csv_reference, meta, records, columns)
+    got = _outcome(_render, meta, table, fmt, columns)
+    assert got == want
+    if refused:
+        assert got == f"non-finite output value {message} at 10 significant digits"
+    elif fmt == "json":  # the meta float list is written by the column writer too
+        document = {"meta": meta, "records": records}
+        assert got == json.dumps(_round_floats(document), indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_render_rounds_only_distinct_suspect_texts(capsys, monkeypatch, fmt):
+    # a 10k-record grid (and its 1000-value meta list) is written by whole
+    # columns: `_round10` runs once per distinct text the `%` writer cannot
+    # spell, never once per value
+    import effosc.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "_round10", lambda value: calls.append(value) or _round10(value))
+    code, out, err = invoke(capsys, ["spectrum", "--kind", "quartic-dwo", "--lambda", "0.001:1:0.001",
+                                     "--levels", "0..9", "--format", fmt])
+    assert (code, err) == (0, "")
+    assert out.count("\n") >= 10_000
+    assert len(calls) <= 16
 
 
 def test_octic_huge_coupling_frequency(capsys):
