@@ -639,6 +639,19 @@ def test_value_rounding_past_largest_float_is_numerical_failure(capsys, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("rel_tol, code, err", [
+    ("1e308", 0, ""),
+    ("1.7976931348e308", 3,
+     "effosc: numerical failure: non-finite output value 1.7976931348e+308 at 10 significant digits\n"),
+])
+def test_oracle_rel_tol_near_the_largest_float_is_quiet(rel_tol, code, err):
+    # rel_tol * scale overflows to an inf bound, which still reads as
+    # converged; numpy's overflow warning must not reach stderr
+    argv = ["oracle", "--kind", "quartic-aho", "--lambda", "1", "--levels", "0..3", "--rel-tol", rel_tol]
+    proc = subprocess.run([sys.executable, "-m", "effosc.cli", *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
 _SEXTIC_TINY_W = ["--kind", "sextic-dwo", "--g", "-3", "--lambda", "1e-250", "--levels", "0"]
 
 
@@ -706,6 +719,15 @@ def test_oracle_lapack_failure_is_numerical_failure(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err == ("effosc: numerical failure: diagonalizing the 4-state basis failed: "
                    "sbevd did not converge (LAPACK info=834)\n")
+
+
+def test_oracle_element_overflow_is_numerical_failure(capsys):
+    # w ≈ 9e-103 passes the w³ check, but the f⁶ matrix elements overflow to
+    # inf: the eigensolver fails on them, and no numpy warning is raised
+    code, out, err = invoke(capsys, ["oracle", "--kind", "sextic-dwo", "--g", "-3",
+                                     "--lambda", "1e-205", "--levels", "0"])
+    assert (code, out) == (3, "")
+    assert err.startswith("effosc: numerical failure: diagonalizing the 8-state basis failed: ")
 
 
 @pytest.mark.parametrize("lam", ["1e200", "1e300"])
@@ -835,6 +857,7 @@ def test_scipy_is_loaded_only_by_oracle_and_susy_wavefunction():
     (oracle_step, oracle_code, after_oracle), (susy_step, susy_code, after_susy) = report[-2:]
     assert (oracle_code, susy_code) == (0, 0)
     assert "scipy.linalg" in after_oracle
+    assert [m for m in after_oracle if m.startswith("scipy.sparse")] == []  # bands are numpy
     assert "scipy.integrate" not in after_oracle and "scipy.integrate" in after_susy
 
 
