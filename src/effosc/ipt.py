@@ -138,7 +138,7 @@ def _rs_run(v: np.ndarray, w: float, n: int, max_order: int, start: int = 0):
     energies = []
     for order in range(1, max_order + 1):
         vc = v @ psi[order - 1]
-        energies.append(vc[at])
+        energies.append(float(vc[at]))
         correction = vc.copy()
         for back in range(1, order):
             correction -= energies[back - 1] * psi[order - back]

@@ -80,7 +80,7 @@ def _position_power_diagonals(k: int, basis_w: float, dim: int):
     # order of summation.  These orders reproduce the SciPy sparse products the
     # elements were first built with, bit for bit: the octic Table-5 run misses
     # its 1e-10 tolerance at 480 states by only 2.3e-11.
-    with np.errstate(over="ignore"):  # an inf element fails in the eigensolver
+    with np.errstate(over="ignore"):  # an inf element is refused before the eigensolver
         f4 = _band_product(f2, f2, descending=True)
         fk = f4 if k == 4 else _band_product(f4, f2 if k == 6 else f4)
     return tuple({o: v[: max(dim - o, 0)] for o, v in m.items()} for m in (f2, fk))
@@ -124,7 +124,12 @@ def _parity_block_eigenvalues(diags, dim: int, k: int):
             continue
         band = np.zeros((kb + 1, m))
         for d in range(kb + 1):
-            band[kb - d, d:] = diags[2 * d][parity::2]
+            band[kb - d, d:] = diags[2 * d][parity::2]  # H[parity + 2(c - d), parity + 2c] at c
+        if not np.isfinite(band).all():  # LAPACK would print its own complaint to stdout
+            r, c = np.argwhere(~np.isfinite(band))[0]
+            raise OracleConvergenceError(
+                "the %d-state Hamiltonian has a non-finite element H[%d, %d] = %r"
+                % (dim, parity + 2 * (c - kb + r), parity + 2 * c, float(band[r, c])))
         try:
             merged.append(
                 scipy.linalg.eig_banded(band, lower=False, eigvals_only=True, check_finite=False)

@@ -178,6 +178,16 @@ def test_corrections_frozen_quartic():
     assert c1.corrections[3] == pytest.approx(-0.009052276611328128, rel=1e-10)
 
 
+@pytest.mark.parametrize("spec", [OscillatorSpec(4, 1.0, 0.1), OscillatorSpec(6, -3.0, 0.5),
+                                  OscillatorSpec(8, 1.0, 1.0)])
+def test_series_fields_are_python_floats(spec):
+    # the CLI writes a list column with its one-call column writer only when
+    # every element is exactly a float, not a numpy.float64
+    for order in (1, 4):
+        series = rs_corrections(spec, 1, max_order=order)
+        assert {type(v) for v in series.corrections + series.partial_sums} == {float}
+
+
 def test_ipt_energy_partial_sums():
     spec = OscillatorSpec(4, 1.0, 0.1)
     e0 = level_solution(spec, 0).E0

@@ -91,6 +91,19 @@ def test_parity_blocks_match_dense_diagonalization():
             assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want))), spec
 
 
+@pytest.mark.parametrize("k", [4, 6, 8])
+@pytest.mark.parametrize("offset, i, bad", [(0, 0, math.inf), (0, 9, -math.inf), (2, 5, math.nan),
+                                            (4, 2, math.inf)])
+def test_non_finite_element_is_refused_by_name(k, offset, i, bad):
+    # LAPACK would print to stdout on it; the message names the element
+    diags = oracle_module._hamiltonian_diagonals(OscillatorSpec(k, 1.0, 1.0), 1.5, 12)
+    diags[offset][i] = bad
+    with pytest.raises(OracleConvergenceError) as exc:
+        oracle_module._parity_block_eigenvalues(diags, 12, k)
+    assert str(exc.value) == ("the 12-state Hamiltonian has a non-finite element H[%d, %d] = %r"
+                              % (i, i + offset, bad))
+
+
 def test_ground_state_variational_bound():
     # the optimized Gaussian expectation is a rigorous upper bound on E_0
     for spec in (

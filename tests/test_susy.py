@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -122,6 +123,48 @@ def test_wavefunction_distance_on_a_window_far_wider_than_the_peak(b):
     wide = wavefunction_distance(b, [-1e6, 1e6])
     narrow = wavefunction_distance(b, [-10.0 / b**0.25, 10.0 / b**0.25])
     assert np.allclose(wide, narrow, rtol=0.0, atol=1e-9), (wide, narrow)
+
+
+def _mp_distance(b, lo, hi, w_a):
+    """(overlap, L2 distance) of the two amplitudes on [lo, hi] at 40 digits."""
+    with mpmath.workdps(40):
+        b, w_a = mpmath.mpf(b), mpmath.mpf(w_a)
+        n1 = (8 * b) ** mpmath.mpf(0.125) / mpmath.sqrt(mpmath.gamma(0.25))
+        n2 = (w_a / mpmath.pi) ** mpmath.mpf(0.25)
+
+        def psi1(f):
+            return n1 * mpmath.exp(-b * f**4 / 4)
+
+        def psi2(f):
+            return n2 * mpmath.exp(-w_a * f**2 / 2)
+
+        # past 20 widths of either amplitude both are below exp(-200)
+        cut = 20 * (b ** mpmath.mpf(-0.25) + 1 / mpmath.sqrt(w_a))
+        a, z = max(mpmath.mpf(lo), -cut), min(mpmath.mpf(hi), cut)
+        points = mpmath.linspace(a, z, 21)  # tanh-sinh on 80 panels gives the same floats
+        overlap = mpmath.quad(lambda f: psi1(f) * psi2(f), points, method="gauss-legendre")
+        l2sq = mpmath.quad(lambda f: (psi1(f) - psi2(f)) ** 2, points, method="gauss-legendre")
+        return float(overlap), float(mpmath.sqrt(l2sq))
+
+
+_MP_WINDOWS = [
+    (b, lo * b**-0.25, hi * b**-0.25)
+    for b in (1e-3, 1.0, 100.0, 1e5)
+    for lo, hi in ((-6.0, 6.0), (-7.0, 1e6), (-1e6, 5.0))
+] + [
+    # scipy's adaptive quad raised "quadrature error above 1e-8" here,
+    (0.7468497328968295, -6.522521847042514, 5.35777947018355),
+    # and gave overlap 0.9842922245 here, against 0.9842922251
+    (1597.6629122743716, -15.740649059582681, 6.176997279824269),
+]
+
+
+@pytest.mark.parametrize("b, lo, hi", _MP_WINDOWS)
+def test_wavefunction_distance_matches_mpmath(b, lo, hi):
+    w_a = solve_gap(partner_specs(b).dwo, 0.5, Phase.SYMMETRY_RESTORED)
+    want = _mp_distance(b, lo, hi, w_a)
+    got = wavefunction_distance(b, [lo, hi])
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12), (got, want)
 
 
 def test_wavefunction_distance_span_guard():
