@@ -857,6 +857,10 @@ def test_scipy_is_loaded_only_by_oracle():
     assert oracle_code == 0
     assert "scipy.linalg" in after_oracle
     assert [m for m in after_oracle if m.startswith("scipy.sparse")] == []  # bands are numpy
+    assert "scipy.integrate" not in after_oracle
+    # beside SciPy's private package modules, scipy.linalg is the only subpackage
+    public = {m.split(".")[1] for m in after_oracle if m != "scipy"}
+    assert {p for p in public if not p.startswith("_")} - {"version"} == {"linalg"}
 
 
 @pytest.mark.parametrize("kind, g, phase, w, e0", [
