@@ -16,9 +16,11 @@ the level.
 The cubic and biquadratic conditions are solved in closed form, followed by
 a Newton polish against the exact polynomial.  The octic quintic has
 exactly one positive root (g >= 0, one sign change), which a Newton
-iteration safeguarded by its sign-change bracket finds directly.  The
-polish and the bracketed Newton also run on arrays of cells, step for step
-as on one (`spectrum.level_grid`).
+iteration safeguarded by its sign-change bracket finds directly.  That
+bracketed Newton, `_refine_bracket`, is one kernel for every root the code
+brackets: the octic's, on one level or on an array of cells
+(`spectrum.level_grid`), and the outer displaced sextic state's.  The
+polish also runs on arrays of cells, step for step as on one.
 """
 
 from __future__ import annotations
@@ -126,84 +128,52 @@ def _poly_derivative(coeffs):
     return [i * coeffs[i] for i in range(1, len(coeffs))]
 
 
-def _refine_bracket(coeffs, a, b):
-    """Root of the polynomial by Newton, safeguarded by the sign-change bracket [a, b].
-
-    Stops when a step moves the iterate by at most 5e-16 of its size, so a
-    root far below 1 is found to full relative precision too.  Finishes by
-    bisection when Newton has not converged in 200 steps.
-    """
+def _poly_with_derivative(coeffs):
+    """t -> (p(t), p'(t)) of the ascending coefficients, for `_refine_bracket`."""
     dcoeffs = _poly_derivative(coeffs)
-    fa = _poly_eval(coeffs, a)
-    if fa == 0.0:
-        return a
-    if _poly_eval(coeffs, b) == 0.0:
-        return b
-    t = 0.5 * (a + b)
-    for _ in range(200):
-        ft = _poly_eval(coeffs, t)
-        if ft == 0.0:
-            return t
-        if (ft < 0.0) == (fa < 0.0):
-            a, fa = t, ft
-        else:
-            b = t
-        dft = _poly_eval(dcoeffs, t)
-        tn = t - ft / dft if dft != 0.0 else 0.5 * (a + b)
-        if not (a < tn < b):
-            tn = 0.5 * (a + b)
-        if abs(tn - t) <= 5e-16 * abs(tn):
-            return tn
-        t = tn
-    while True:  # Newton budget spent (a start far above a huge root): bisect the bracket
-        t = 0.5 * (a + b)
-        if not (a < t < b):
-            return t
-        ft = _poly_eval(coeffs, t)
-        if ft == 0.0:
-            return t
-        if (ft < 0.0) == (fa < 0.0):
-            a = t
-        else:
-            b = t
+    return lambda t: (_poly_eval(coeffs, t), _poly_eval(dcoeffs, t))
 
 
-def _refine_brackets(coeffs, a, b):
-    """`_refine_bracket` on an array of brackets [a, b], one per cell.
+def _refine_bracket(f, a, b, t=None):
+    """Root of f by Newton from t (the midpoint by default), kept inside the
+    sign-change bracket [a, b]; f(t) returns (f(t), f'(t)).
 
-    `coeffs` holds floats and per-cell arrays.  Each cell takes the scalar
-    solver's steps and stops, in the same floating-point operations; a cell
-    still open after the 200 Newton steps is left NaN.
+    A step that leaves the bracket, or has no finite slope, is replaced by
+    the bracket's midpoint.  Stops when a step moves the iterate by at most
+    5e-16 of its size, so a root far below 1 is found to full relative
+    precision too.  Finishes by bisection when Newton has not converged in
+    200 steps.  a, b and t are floats, or arrays with one entry per cell:
+    each cell then takes the float steps, in the same operations, and a
+    cell that stops keeps its value while the others go on.
     """
-    b = np.asarray(b, dtype=float)
-    a = np.broadcast_to(np.asarray(a, dtype=float), b.shape).copy()
-    root = np.full_like(b, math.nan)
-    cell = np.arange(b.size)
-    fa = _poly_eval(coeffs, a)
-    at_a, at_b = fa == 0.0, _poly_eval(coeffs, b) == 0.0
-    root[at_a] = a[at_a]
-    at_b &= ~at_a
-    root[at_b] = b[at_b]
-    keep = ~(at_a | at_b)
-    cell, a, fa, b = cell[keep], a[keep], fa[keep], b[keep]
-    t = 0.5 * (a + b)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        where, not_, any_ = np.where, np.logical_not, np.any
+    else:
+        where, not_, any_ = (lambda c, x, y: x if c else y), (lambda c: not c), bool
+    fa = f(a)[0]
+    at_a, at_b = fa == 0.0, f(b)[0] == 0.0
+    t = where(at_a, a, where(at_b, b, 0.5 * (a + b) if t is None else t))
+    open_ = not_(at_a | at_b)
     for _ in range(200):
-        if not cell.size:
-            return root
-        c = _take(coeffs, cell)
-        ft = _poly_eval(c, t)
+        if not any_(open_):
+            return t
+        ft, dft = f(t)
         hit = ft == 0.0
-        root[cell[hit]] = t[hit]
         same = (ft < 0.0) == (fa < 0.0)
-        a, fa, b = np.where(same, t, a), np.where(same, ft, fa), np.where(same, b, t)
-        dft = _poly_eval(_poly_derivative(c), t)
-        tn = np.where(dft != 0.0, t - ft / dft, 0.5 * (a + b))
-        tn = np.where((a < tn) & (tn < b), tn, 0.5 * (a + b))
-        done = ~hit & (np.abs(tn - t) <= 5e-16 * np.abs(tn))
-        root[cell[done]] = tn[done]
-        keep = ~(hit | done)
-        cell, a, fa, b, t = cell[keep], a[keep], fa[keep], b[keep], tn[keep]
-    return root
+        a, fa, b = where(same, t, a), where(same, ft, fa), where(same, b, t)
+        tn = t - ft / where(dft != 0.0, dft, math.nan)
+        tn = where((a < tn) & (tn < b), tn, 0.5 * (a + b))
+        stop = hit | (abs(tn - t) <= 5e-16 * abs(tn))
+        t = where(open_ & not_(hit), tn, t)
+        open_ = open_ & not_(stop)
+    while any_(open_):  # Newton budget spent (a start far above a huge root): bisect
+        t = where(open_, 0.5 * (a + b), t)
+        open_ = open_ & (a < t) & (t < b)
+        ft = f(t)[0]
+        open_ = open_ & (ft != 0.0)
+        same = (ft < 0.0) == (fa < 0.0)
+        a, b = where(same, t, a), where(same, b, t)
+    return t
 
 
 def _take(coeffs, cells):
@@ -332,7 +302,7 @@ def solve_gap(spec: OscillatorSpec, x: float, phase: Phase) -> float:
         w = _newton_polish(problem.coefficients, _sextic_sr_root(g, problem.coefficients[0]))
     else:
         coeffs = problem.coefficients
-        w = _refine_bracket(coeffs, math.sqrt(0.6 * g), 1.0 + max(-coeffs[0], g))
+        w = _refine_bracket(_poly_with_derivative(coeffs), math.sqrt(0.6 * g), 1.0 + max(-coeffs[0], g))
     if not math.isfinite(w):
         raise SolverError("non-finite frequency %r at coupling %g, x = %g" % (w, lam, x))
     if w < 0.0:  # w = 0 fails below, as an underflow

@@ -116,12 +116,14 @@ def hamiltonian_matrix(spec: OscillatorSpec, basis_w: float, dim: int) -> np.nda
 def _parity_block_eigenvalues(diags, dim: int, k: int):
     """All eigenvalues, computed per parity block in banded storage."""
     import scipy.linalg
-    kb = k // 2
     merged = []
     for parity in (0, 1):
         m = (dim - parity + 1) // 2
         if m <= 0:
             continue
+        # k/2 superdiagonals, but fewer than m: LAPACK's rescaling of a band
+        # whose norm is huge rejects a bandwidth as wide as the block
+        kb = min(k // 2, m - 1)
         band = np.zeros((kb + 1, m))
         for d in range(kb + 1):
             band[kb - d, d:] = diags[2 * d][parity::2]  # H[parity + 2(c - d), parity + 2c] at c

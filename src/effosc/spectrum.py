@@ -33,7 +33,8 @@ from .gap import (
     _newton_polishes,
     _quartic_sr_root,
     _quartic_ssb_root,
-    _refine_brackets,
+    _poly_with_derivative,
+    _refine_bracket,
     _sextic_sr_root,
     critical_coupling,
     solve_gap,
@@ -288,41 +289,31 @@ def _outer_displaced_state(g: float, lam: float, x: float, K: float, D: float, f
         beta = 10x sqrt(3 lam) / |g|,   gamma = 3 lam (15(1 + 4x²)/8) / g² - 1.
 
     F falls and is convex on the branch -E/S <= t <= 0, so it has a root
-    there when F(-E/S) >= 0 > F(0), and only one.  F resolves t to full
-    relative precision, and y and u = -Q/(D w) follow without cancellation.
-    Newton starts from the negative root of F with y frozen at its value at
-    t = 0, which lies left of the root, so its steps rise to the root; a
-    step that leaves the bracket is replaced by bisection.
+    there when F(-E/S) >= 0 > F(0), and only one; both signs are read from
+    the F that `gap._refine_bracket` then solves on that bracket.  F resolves
+    t to full relative precision, and y and u = -Q/(D w) follow without
+    cancellation, with E + Q = S (t + E/S).  Newton starts from the negative
+    root of F with y frozen at its value at t = 0, which lies left of the
+    root, so its steps rise to the root.
     """
     E = 4.0 * g * g - K
     S = D / math.sqrt(3.0 * lam) * -g
     beta = 10.0 * x * math.sqrt(3.0 * lam) / -g
     gamma = 3.0 * lam * (15.0 * (1.0 + 4.0 * x * x) / 8.0) / (g * g) - 1.0
-    f_hi = gamma + math.sqrt(E) / (2.0 * g)
-    if not (math.isfinite(S) and S > 0.0 and math.isfinite(f_hi)):
+    if not (math.isfinite(E) and math.isfinite(S) and S > 0.0):
         raise SolverError(f"{failure}: its stationarity condition in Q is not finite")
-    if not (E / S + beta + gamma * S / E >= 0.0 > f_hi):  # F(-E/S) S/E, which does not overflow
+    lo = -E / S
+
+    def F(t):  # (F, F') for t >= lo; at t = lo, r = 0 and F' is infinite, which the kernel bisects
+        r = math.sqrt(S * (t - lo))
+        return t * t - beta * t + gamma + r / (2.0 * g), (
+            2.0 * t - beta + S / (4.0 * g * r) if r > 0.0 else math.nan)
+
+    f_lo, f_hi = F(lo)[0], F(0.0)[0]
+    if not (f_lo >= 0.0 > f_hi):
         return None
-    lo, hi = -E / S, 0.0
-    t = max(lo, f_hi / (0.5 * beta + math.sqrt(0.25 * beta * beta - f_hi)))
-    for _ in range(200):
-        r = math.sqrt(max(E + S * t, 0.0))  # S (-E/S) may round below -E
-        ft = t * t - beta * t + gamma + r / (2.0 * g)
-        if ft == 0.0:
-            break
-        if ft > 0.0:
-            lo = t
-        else:
-            hi = t
-        # at r = 0 (the branch end, t = -E/S) F' is infinite: bisect
-        tn = t - ft / (2.0 * t - beta + S / (4.0 * g * r)) if r > 0.0 else math.nan
-        if abs(tn - t) <= 5e-16 * abs(tn):
-            t = tn
-            break
-        t = tn if lo < tn < hi else 0.5 * (lo + hi)
-    else:
-        raise SolverError(f"{failure}: Newton on its stationarity condition did not converge")
-    w = math.sqrt(-2.0 * g + math.sqrt(max(E + S * t, 0.0)))
+    t = _refine_bracket(F, lo, 0.0, max(lo, f_hi / (0.5 * beta + math.sqrt(0.25 * beta * beta - f_hi))))
+    w = math.sqrt(-2.0 * g + math.sqrt(S * (t - lo)))
     return w, g * t / (math.sqrt(3.0 * lam) * w)
 
 
@@ -410,11 +401,11 @@ def level_grid(k: int, g: float, lams, levels) -> LevelGrid:
     The pass solves the plain cells, those whose x, |g| (unless 0) and w, and
     the displaced quartic's w and s² where it is solvable, are plain values.
     There it is bit for bit the scalar solve: the same seeds, the masked
-    forms of its Newton polish and octic bracket, and `_closed_form_energy`,
-    elementwise in + - * / and sqrt, which round correctly.  A displaced
-    sextic cell calls `sextic_ssb_solutions`.  Every other cell, and an octic
-    cell still open after the bracket's 200 Newton steps, is handed to
-    `level_solution`, which gives its solution or its failure.
+    form of its Newton polish, the octic bracket's one kernel run on arrays,
+    and `_closed_form_energy`, elementwise in + - * / and sqrt, which round
+    correctly.  A displaced sextic cell calls `sextic_ssb_solutions`.  Every
+    other cell is handed to `level_solution`, which gives its solution or its
+    failure.
     """
     rows, width = len(lams), len(levels)
     failures, specs = {}, []
@@ -492,7 +483,7 @@ def _undisplaced_cells(k, g, lam, x, factor):
         w = _newton_polishes(coeffs, _sextic_sr_root(g, coeffs[0], np.sqrt))
     else:
         c = -coeffs[0]
-        w = _refine_brackets(coeffs, np.sqrt(0.6 * g), 1.0 + np.where(g > c, g, c))
+        w = _refine_bracket(_poly_with_derivative(coeffs), np.sqrt(0.6 * g), 1.0 + np.where(g > c, g, c))
     if g > 0.0:
         w = np.where(lam == 0.0, np.sqrt(g), w)
     return w, _closed_form_energy(k, g, lam, x, w, Phase.SYMMETRY_RESTORED)

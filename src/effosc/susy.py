@@ -108,7 +108,9 @@ def ground_wavefunction(kind: str, b: float, grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("grid must be a finite, non-empty sequence")
-    with np.errstate(over="ignore"):  # far out, f^k overflows and the amplitude is 0
+    # far out, f^k overflows and the amplitude is 0; an infinite norm (b above
+    # ~2.2e307) times that 0 is NaN, which the output rule refuses
+    with np.errstate(over="ignore", invalid="ignore"):
         if kind == "susy_exact":
             return _susy_exact_amplitude(b)(grid)
         if kind == "effective_gaussian":

@@ -652,6 +652,31 @@ def test_oracle_rel_tol_near_the_largest_float_is_quiet(rel_tol, code, err):
     assert (proc.returncode, proc.stderr) == (code, err)
 
 
+@pytest.mark.parametrize("g", ["1e300", "1e308"])
+def test_oracle_two_state_blocks_at_a_huge_band_norm_print_strict_json(g):
+    # with n_max = 0 each parity block holds 2 states; LAPACK rescales a band
+    # whose norm is above ~1e146 and rejects a bandwidth as wide as the block,
+    # printing its complaint to stdout ahead of the JSON
+    argv = ["oracle", "--kind", "quartic-aho", "--g=" + g, "--lambda", "1", "--levels", "0"]
+    proc = subprocess.run([sys.executable, "-m", "effosc.cli", *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+    def refuse(constant):
+        raise ValueError(constant)
+
+    (record,) = json.loads(proc.stdout, parse_constant=refuse)["records"]
+    assert record["oracle"] == record["E0"] == float(g) ** 0.5 / 2.0
+
+
+def test_susy_wavefunction_with_an_infinite_norm_prints_one_line():
+    # (8b)^(1/8) is inf from b ~ 2.2e307 on, and inf * 0 far out is NaN:
+    # the output rule refuses it without numpy's warning ahead of the message
+    argv = ["susy", "wavefunction", "--b", "2.3e307", "--grid=-2:2:0.5"]
+    proc = subprocess.run([sys.executable, "-m", "effosc.cli", *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("effosc: ")
+
+
 _SEXTIC_TINY_W = ["--kind", "sextic-dwo", "--g", "-3", "--lambda", "1e-250", "--levels", "0"]
 
 

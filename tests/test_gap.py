@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from effosc import gap
+from effosc import gap, spectrum
 from effosc.errors import NoPhysicalRoot, SolverError
 from effosc.gap import critical_coupling, gap_polynomial, solve_gap
 from effosc.model import OscillatorSpec, Phase, factor_f, factor_h, factor_p, level_x
@@ -231,3 +231,64 @@ def test_negative_root_is_a_solver_error(monkeypatch):
     monkeypatch.setattr(gap, "_quartic_sr_root", lambda g, q0: -2.25)
     with pytest.raises(SolverError, match="negative frequency -2.25 at coupling 1, x = 0.5"):
         solve_gap(OscillatorSpec(4, -1e30, 1.0), 0.5, Phase.SYMMETRY_RESTORED)
+
+
+def _octic_cells(g, lams, levels):
+    """Coefficients (per-cell arrays) and bracket of the octic condition on
+    every (lam, n) cell, as `level_grid` builds them, and each cell's (lam, x)."""
+    lam = np.repeat(np.asarray(lams, dtype=float), len(levels))
+    x = np.tile([level_x(n) for n in levels], len(lams))
+    coeffs = gap._coefficients(8, g, lam, np.array([factor_h(v) for v in x]), Phase.SYMMETRY_RESTORED)
+    c = -coeffs[0]
+    return coeffs, np.sqrt(0.6 * g), 1.0 + np.where(g > c, g, c), list(zip(lam.tolist(), x.tolist()))
+
+
+@pytest.mark.parametrize("g", [0.0, 1e-3, 1.0, 1e3])
+def test_refine_bracket_on_an_array_is_the_float_solve_of_each_cell(g):
+    # lam = 1e100 and 1e200 spend the 200 Newton steps and finish by bisection
+    lams = [1e-300, 1e-6, 1e-2, 1.0, 1e6, 1e23, 1e100, 1e200]
+    coeffs, a, b, cells = _octic_cells(g, lams, [0, 1, 7, 1000])
+    with np.errstate(all="ignore"):  # as in level_grid: p(b) overflows at a huge b
+        got = gap._refine_bracket(gap._poly_with_derivative(coeffs), a, b)
+    for i, (lam, x) in enumerate(cells):
+        want = solve_gap(OscillatorSpec(8, g, lam), x, Phase.SYMMETRY_RESTORED)
+        assert got[i].hex() == want.hex(), (g, lam, x)
+
+
+def _outer_sextic_condition(g, lam, x):
+    """`spectrum._outer_displaced_state`'s F(t) -> (F, F') with its bracket
+    [lo, 0] and Newton start, in numpy operations on floats or per-cell arrays."""
+    K = lam * (37.5 + 210.0 * x * x)
+    D = lam * (210.0 * x - 22.5 / x)
+    E = 4.0 * g * g - K
+    S = D / np.sqrt(3.0 * lam) * -g
+    beta = 10.0 * x * np.sqrt(3.0 * lam) / -g
+    gamma = 3.0 * lam * (15.0 * (1.0 + 4.0 * x * x) / 8.0) / (g * g) - 1.0
+    lo = -E / S
+
+    def F(t):
+        with np.errstate(divide="ignore", invalid="ignore"):  # no bracket where E <= 0; r = 0 at lo
+            r = np.sqrt(S * (t - lo))
+            slope = np.where(r > 0.0, 2.0 * t - beta + S / (4.0 * g * r), np.nan)
+        return t * t - beta * t + gamma + r / (2.0 * g), slope
+
+    f_hi = F(0.0)[0]
+    with np.errstate(invalid="ignore"):
+        start = np.maximum(lo, f_hi / (0.5 * beta + np.sqrt(0.25 * beta * beta - f_hi)))
+    return F, lo, start, (K, D, S)
+
+
+def test_refine_bracket_on_the_outer_sextic_condition_is_the_float_solve():
+    # a non-polynomial F whose slope is infinite at the bracket's left end
+    g, lam, n = np.meshgrid([-0.3, -1.0, -3.0, -1e3, -1e11, -1e13], [1e-5, 1e-2, 1.0], [0, 3, 20])
+    g, lam, x = g.ravel(), lam.ravel(), np.array([level_x(int(v)) for v in n.ravel()])
+    F, lo, start, _ = _outer_sextic_condition(g, lam, x)
+    has_root = (F(lo)[0] >= 0.0) & (F(0.0)[0] < 0.0)
+    assert has_root.sum() == 36
+    got = gap._refine_bracket(F, lo, np.zeros_like(lo), start)
+    for i in np.flatnonzero(has_root):
+        Fi, lo_i, start_i, (K, D, S) = _outer_sextic_condition(float(g[i]), float(lam[i]), float(x[i]))
+        t = gap._refine_bracket(lambda t: tuple(map(float, Fi(t))), float(lo_i), 0.0, float(start_i))
+        assert got[i].hex() == t.hex(), (g[i], lam[i], x[i])
+        w, _ = spectrum._outer_displaced_state(float(g[i]), float(lam[i]), float(x[i]), K, D, "")
+        assert math.sqrt(-2.0 * g[i] + math.sqrt(S * (t - lo_i))) == w
