@@ -230,9 +230,9 @@ def _quartic_ssb_root(G: float, lam: float, lam_c: float) -> float:
 
 def _newton_polish(coeffs, w: float) -> float:
     dcoeffs = _poly_derivative(coeffs)
-    best, best_res = w, abs(_poly_eval(coeffs, w))
+    fw = _poly_eval(coeffs, w)
+    best, best_res = w, abs(fw)
     for _ in range(12):
-        fw = _poly_eval(coeffs, w)
         dfw = _poly_eval(dcoeffs, w)
         if dfw == 0.0:
             break
@@ -241,7 +241,8 @@ def _newton_polish(coeffs, w: float) -> float:
         if wn <= 0.0:
             break
         w = wn
-        res = abs(_poly_eval(coeffs, w))
+        fw = _poly_eval(coeffs, w)
+        res = abs(fw)
         if res < best_res:
             best, best_res = w, res
         if abs(step) <= 1e-16 * abs(w):
@@ -253,22 +254,23 @@ def _newton_polishes(coeffs, w):
     """`_newton_polish` on an array of starts, one per cell: the same 12-step
     budget, stop rules and best-residual rule, in the same operations."""
     best = np.array(w, dtype=float)
-    best_res = np.abs(_poly_eval(coeffs, best))
+    fw = _poly_eval(coeffs, best)
+    best_res = np.abs(fw)
     cell, w = np.arange(best.size), best
     for _ in range(12):
         if not cell.size:
             break
-        c = _take(coeffs, cell)
-        fw, dfw = _poly_eval(c, w), _poly_eval(_poly_derivative(c), w)
+        dfw = _poly_eval(_poly_derivative(_take(coeffs, cell)), w)
         step = fw / dfw
         wn = w - step
         moves = (dfw != 0.0) & ~(wn <= 0.0)
         cell, w, step = cell[moves], wn[moves], step[moves]
-        res = np.abs(_poly_eval(_take(coeffs, cell), w))
+        fw = _poly_eval(_take(coeffs, cell), w)
+        res = np.abs(fw)
         better = res < best_res[cell]
         best[cell[better]], best_res[cell[better]] = w[better], res[better]
         open_ = ~(np.abs(step) <= 1e-16 * np.abs(w))
-        cell, w = cell[open_], w[open_]
+        cell, w, fw = cell[open_], w[open_], fw[open_]
     return best
 
 

@@ -74,6 +74,10 @@ def position_power_matrix(k: int, w: float, dim: int, start: int = 0) -> np.ndar
     cut back: the retained block then carries the exact operator elements (a
     k-step ladder path between two block states never leaves the padding).
     Result is exactly symmetric.
+
+    It forms np.linalg.matrix_power's products: f^3 = (f f) f, else squares
+    multiplied in from k's lowest set bit (f^6 = f^2 f^4, f^7 = (f f^2) f^4).
+    The `series` references freeze the last bits of that association.
     """
     if not (1 <= k <= 8):
         raise ValueError("power k must be between 1 and 8, got %r" % (k,))
@@ -88,10 +92,15 @@ def position_power_matrix(k: int, w: float, dim: int, start: int = 0) -> np.ndar
     f = np.zeros((pad, pad))
     first = start - below
     off = np.sqrt(np.arange(first + 1, first + pad) / (2.0 * w))
-    idx = np.arange(pad - 1)
-    f[idx, idx + 1] = off
-    f[idx + 1, idx] = off
-    m = np.linalg.matrix_power(f, k)[below:below + dim, below:below + dim]
+    f.flat[1::pad + 1] = f.flat[pad::pad + 1] = off
+    m, bits = (f @ f @ f, 0) if k == 3 else (None, k)
+    while bits:
+        if bits & 1:
+            m = f if m is None else m @ f
+        bits >>= 1
+        if bits:
+            f = f @ f
+    m = m[below:below + dim, below:below + dim]
     return 0.5 * (m + m.T)
 
 
@@ -112,11 +121,12 @@ def perturbation_matrix(spec: OscillatorSpec, n: int, dim: int, start: int = 0) 
         raise ValueError("basis dimension %d cannot hold the expansion level %d"
                          % (start + dim, n))
     w = sol.w
-    v = (position_power_matrix(spec.k, w, dim, start)
-         - sol.A * position_power_matrix(2, w, dim, start))
+    v = position_power_matrix(spec.k, w, dim, start)
+    v -= sol.A * position_power_matrix(2, w, dim, start)
     # B = 0 for an undisplaced solution, so no linear-in-f term survives
-    v[np.diag_indices(dim)] -= sol.C
-    return spec.lam * v
+    v.flat[::dim + 1] -= sol.C
+    v *= spec.lam
+    return v
 
 
 def _denominators(w: float, n: int, dim: int, start: int = 0) -> np.ndarray:
@@ -130,21 +140,19 @@ def _rs_run(v: np.ndarray, w: float, n: int, max_order: int, start: int = 0):
     dim = v.shape[0]
     at = n - start
     gaps = _denominators(w, n, dim, start)
-    inv = np.zeros(dim)
-    nz = np.arange(dim) != at
-    inv[nz] = 1.0 / gaps[nz]
+    gaps[at] = np.inf  # its reciprocal, the n slot, is 0
+    inv = 1.0 / gaps
     psi = [np.zeros(dim)]
     psi[0][at] = 1.0
     energies = []
     for order in range(1, max_order + 1):
-        vc = v @ psi[order - 1]
+        vc = v @ psi[-1]
         energies.append(float(vc[at]))
-        correction = vc.copy()
         for back in range(1, order):
-            correction -= energies[back - 1] * psi[order - back]
-        new = correction * inv
-        new[at] = 0.0
-        psi.append(new)
+            vc -= energies[back - 1] * psi[order - back]
+        vc *= inv
+        vc[at] = 0.0
+        psi.append(vc)
     return energies
 
 

@@ -292,3 +292,63 @@ def test_refine_bracket_on_the_outer_sextic_condition_is_the_float_solve():
         assert got[i].hex() == t.hex(), (g[i], lam[i], x[i])
         w, _ = spectrum._outer_displaced_state(float(g[i]), float(lam[i]), float(x[i]), K, D, "")
         assert math.sqrt(-2.0 * g[i] + math.sqrt(S * (t - lo_i))) == w
+
+
+def _newton_polish_reference(coeffs, w):
+    """The polish evaluating the polynomial twice at each accepted iterate."""
+    dcoeffs = gap._poly_derivative(coeffs)
+    best, best_res = w, abs(gap._poly_eval(coeffs, w))
+    for _ in range(12):
+        fw = gap._poly_eval(coeffs, w)
+        dfw = gap._poly_eval(dcoeffs, w)
+        if dfw == 0.0:
+            break
+        step = fw / dfw
+        wn = w - step
+        if wn <= 0.0:
+            break
+        w = wn
+        res = abs(gap._poly_eval(coeffs, w))
+        if res < best_res:
+            best, best_res = w, res
+        if abs(step) <= 1e-16 * abs(w):
+            break
+    return best
+
+
+def test_newton_polishes_are_bit_identical_to_the_reference(monkeypatch):
+    # record the (coefficients, seed) pairs the solvers pass: quartic SR and
+    # SSB, the sextic, and the displaced sextic's P(y)
+    calls = []
+    original = gap._newton_polish
+
+    def spy(coeffs, w):
+        calls.append((tuple(coeffs), w))
+        return original(coeffs, w)
+
+    monkeypatch.setattr(gap, "_newton_polish", spy)
+    monkeypatch.setattr(spectrum, "_newton_polish", spy)
+    rng = np.random.default_rng(7)
+    for lam in 10.0 ** rng.uniform(-3.0, 3.0, 24):
+        for n in (0, 1, 2, 5, 17, 400):
+            x = level_x(n)
+            for k, g in ((4, 1.0), (4, -1.0), (6, 1.0), (6, -3.0)):
+                solve_gap(OscillatorSpec(k, g, lam), x, Phase.SYMMETRY_RESTORED)
+            g = -float(10.0 ** rng.uniform(-1.0, 1.0))
+            lam_c = critical_coupling(-g, x)
+            solve_gap(OscillatorSpec(4, g, lam_c * rng.uniform(0.0, 1.0)), x,
+                      Phase.SPONTANEOUSLY_BROKEN)
+    for g in (-0.3, -1.0, -3.0, -10.0):
+        for lam in 10.0 ** rng.uniform(-5.0, 0.0, 24):
+            for n in (0, 1, 3):
+                spectrum.sextic_ssb_solutions(OscillatorSpec(6, g, lam), n)
+    assert {len(c) for c, _ in calls} == {4, 5}  # cubics and quartics
+    assert sum(1 for c, _ in calls if c[-2] != 0.0) > 20  # the displaced sextic's P(y)
+    for degree in (4, 5):
+        cells = [(c, w) for c, w in calls if len(c) == degree]
+        want = np.array([_newton_polish_reference(c, w) for c, w in cells])
+        got = np.array([original(c, w) for c, w in cells])
+        per_cell = [np.array([c[i] for c, _ in cells]) for i in range(degree)]
+        batched = gap._newton_polishes(per_cell, [w for _, w in cells])
+        assert got.tobytes() == want.tobytes()
+        assert batched.tobytes() == want.tobytes()

@@ -324,3 +324,85 @@ def test_series_blocks_do_not_grow_with_level(monkeypatch):
             # two builds for the series on the 6k+1 states |m - n| <= 3k,
             # two for the enlargement check on that window grown by k
             assert built == [6 * k + 1] * 2 + [7 * k + 1] * 2, built
+
+
+# Bit-identity guards.  The `series` references hold round-off first-order
+# terms, so the kernels must reproduce the last bit of the formulas they
+# replaced: those formulas are kept here as references and compared with
+# tobytes(), where -0.0 differs from 0.0.
+
+def _position_power_reference(k, w, dim, start):
+    """f^k as np.linalg.matrix_power of the padded ladder, cut and symmetrized."""
+    below = min(start, k)
+    pad = below + dim + k
+    f = np.zeros((pad, pad))
+    first = start - below
+    off = np.sqrt(np.arange(first + 1, first + pad) / (2.0 * w))
+    idx = np.arange(pad - 1)
+    f[idx, idx + 1] = off
+    f[idx + 1, idx] = off
+    m = np.linalg.matrix_power(f, k)[below:below + dim, below:below + dim]
+    return 0.5 * (m + m.T)
+
+
+def _rs_run_reference(v, w, n, max_order, start=0):
+    """The RS recursion with a copied correction vector per order."""
+    dim = v.shape[0]
+    at = n - start
+    gaps = w * (n - np.arange(start, start + dim, dtype=float))
+    inv = np.zeros(dim)
+    nz = np.arange(dim) != at
+    inv[nz] = 1.0 / gaps[nz]
+    psi = [np.zeros(dim)]
+    psi[0][at] = 1.0
+    energies = []
+    for order in range(1, max_order + 1):
+        vc = v @ psi[order - 1]
+        energies.append(float(vc[at]))
+        correction = vc.copy()
+        for back in range(1, order):
+            correction -= energies[back - 1] * psi[order - back]
+        new = correction * inv
+        new[at] = 0.0
+        psi.append(new)
+    return energies
+
+
+def _series_windows(k, n):
+    """(start, dim) of the two windows `rs_corrections` builds for level n."""
+    lo, top = max(0, n - 3 * k), n + 3 * k + 1
+    return [(lo, top - lo), (lo, top + k - lo)]
+
+
+def test_position_power_matrix_is_bit_identical_to_matrix_power():
+    rng = np.random.default_rng(25)
+    windows = sorted({win for k in (4, 6, 8) for n in (0, 1, 2, 5, 20, 400, 2000, 10**5)
+                      for win in _series_windows(k, n)})
+    ws = list(10.0 ** np.arange(-3, 4)) + list(10.0 ** rng.uniform(-3.0, 3.0, 5))
+    for k in range(1, 9):
+        for start, dim in windows + [(0, 1), (1, 1), (3, 2)]:
+            for w in ws:
+                got = position_power_matrix(k, w, dim, start)
+                want = _position_power_reference(k, w, dim, start)
+                assert np.array_equal(got, want), (k, w, dim, start)
+                assert got.tobytes() == want.tobytes(), (k, w, dim, start)
+
+
+def test_rs_corrections_are_bit_identical_to_the_copying_recursion():
+    rng = np.random.default_rng(2025)
+    for _ in range(60):
+        k = int(rng.choice([4, 6, 8]))
+        lam = float(10.0 ** rng.uniform(-2.0, 1.0))
+        n = int(rng.choice([0, 1, 2, 3, 7, 20, 100, 400, 2000]))
+        spec = OscillatorSpec(k, 1.0, lam)
+        sol = level_solution(spec, n)
+        (lo, dim), _ = _series_windows(k, n)
+        want = _rs_run_reference(perturbation_matrix(spec, n, dim, lo), sol.w, n, 4, lo)
+        sums = [sol.E0]
+        for e in want:
+            sums.append(sums[-1] + e)
+        for order in range(1, 5):
+            series = rs_corrections(spec, n, max_order=order)
+            ident = (k, lam, n, order)
+            assert np.array(series.corrections).tobytes() == np.array(want[:order]).tobytes(), ident
+            assert np.array(series.partial_sums).tobytes() == np.array(sums[:order + 1]).tobytes(), ident
