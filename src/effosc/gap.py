@@ -20,7 +20,10 @@ iteration safeguarded by its sign-change bracket finds directly.  That
 bracketed Newton, `_refine_bracket`, is one kernel for every root the code
 brackets: the octic's, on one level or on an array of cells
 (`spectrum.level_grid`), and the outer displaced sextic state's.  The
-polish also runs on arrays of cells, step for step as on one.
+Newton polish, `_newton_polish`, is likewise one kernel for one level and
+for a grid's cells.  A cell stops when an iterate repeats one of the three
+before it, which returns what the 12-step budget would: Newton's next
+iterate depends on the current one only.
 """
 
 from __future__ import annotations
@@ -57,6 +60,12 @@ class GapProblem:
 
 def gap_polynomial(spec: OscillatorSpec, x: float, phase: Phase) -> GapProblem:
     """Coefficient vector of the frequency condition for (spec, x, phase)."""
+    return GapProblem(spec=spec, x=x, phase=phase, coefficients=_checked_coefficients(spec, x, phase))
+
+
+def _checked_coefficients(spec: OscillatorSpec, x: float, phase: Phase) -> tuple:
+    """`gap_polynomial`'s coefficients, after its checks of x and of the
+    (k, g, phase) support."""
     if not (x > 0.0):
         raise ValueError("level factor x must be positive, got %r" % (x,))
     g, k = spec.g, spec.k
@@ -70,8 +79,7 @@ def gap_polynomial(spec: OscillatorSpec, x: float, phase: Phase) -> GapProblem:
             )
     elif phase is not Phase.SYMMETRY_RESTORED:
         raise ValueError("unknown phase %r" % (phase,))
-    coeffs = _coefficients(k, g, spec.lam, _level_factor(k, phase, x), phase)
-    return GapProblem(spec=spec, x=x, phase=phase, coefficients=coeffs)
+    return _coefficients(k, g, spec.lam, _level_factor(k, phase, x), phase)
 
 
 def _level_factor(k: int, phase: Phase, x: float) -> float:
@@ -134,6 +142,20 @@ def _poly_with_derivative(coeffs):
     return lambda t: (_poly_eval(coeffs, t), _poly_eval(dcoeffs, t))
 
 
+_FLOAT_OPS = (lambda c, x, y: x if c else y), (lambda c: not c), bool
+
+
+def _ops(*values):
+    """(where, not, any) for the kernels below: numpy's if a value is an
+    array, and their float forms otherwise.  On arrays, one entry per cell,
+    each cell takes the float steps in the same operations, and a cell that
+    stops keeps its value while the others go on."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            return np.where, np.logical_not, np.any
+    return _FLOAT_OPS
+
+
 def _refine_bracket(f, a, b, t=None):
     """Root of f by Newton from t (the midpoint by default), kept inside the
     sign-change bracket [a, b]; f(t) returns (f(t), f'(t)).
@@ -142,14 +164,9 @@ def _refine_bracket(f, a, b, t=None):
     the bracket's midpoint.  Stops when a step moves the iterate by at most
     5e-16 of its size, so a root far below 1 is found to full relative
     precision too.  Finishes by bisection when Newton has not converged in
-    200 steps.  a, b and t are floats, or arrays with one entry per cell:
-    each cell then takes the float steps, in the same operations, and a
-    cell that stops keeps its value while the others go on.
+    200 steps.  a, b and t are floats or per-cell arrays (`_ops`).
     """
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        where, not_, any_ = np.where, np.logical_not, np.any
-    else:
-        where, not_, any_ = (lambda c, x, y: x if c else y), (lambda c: not c), bool
+    where, not_, any_ = _ops(a, b)
     fa = f(a)[0]
     at_a, at_b = fa == 0.0, f(b)[0] == 0.0
     t = where(at_a, a, where(at_b, b, 0.5 * (a + b) if t is None else t))
@@ -174,11 +191,6 @@ def _refine_bracket(f, a, b, t=None):
         same = (ft < 0.0) == (fa < 0.0)
         a, b = where(same, t, a), where(same, b, t)
     return t
-
-
-def _take(coeffs, cells):
-    """The coefficients of `cells`: per-cell arrays are indexed, floats kept."""
-    return [a[cells] if isinstance(a, np.ndarray) else a for a in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -228,49 +240,35 @@ def _quartic_ssb_root(G: float, lam: float, lam_c: float) -> float:
     return 2.0 * math.sqrt(2.0 * G / 3.0) * math.cos(theta / 3.0)
 
 
-def _newton_polish(coeffs, w: float) -> float:
+def _newton_polish(coeffs, w):
+    """The iterate of least residual, under strict <, of at most 12 Newton
+    steps on the ascending coefficients from w (a float or per-cell array).
+
+    Stops at a zero slope, at a step to w <= 0, at a step of at most 1e-16
+    of w, or at an iterate equal to one of the three before it.  That last
+    stop is exact: the next iterate depends on the current one only, so the
+    steps would cycle through iterates already compared.
+    """
+    where, not_, any_ = _ops(w)
     dcoeffs = _poly_derivative(coeffs)
     fw = _poly_eval(coeffs, w)
     best, best_res = w, abs(fw)
+    open_, seen = True, (w, math.nan, math.nan)
     for _ in range(12):
         dfw = _poly_eval(dcoeffs, w)
-        if dfw == 0.0:
-            break
-        step = fw / dfw
+        step = fw / where(dfw != 0.0, dfw, math.nan)
         wn = w - step
-        if wn <= 0.0:
-            break
-        w = wn
+        open_ = open_ & (dfw != 0.0) & not_(wn <= 0.0)
+        w = where(open_, wn, w)
         fw = _poly_eval(coeffs, w)
         res = abs(fw)
-        if res < best_res:
-            best, best_res = w, res
-        if abs(step) <= 1e-16 * abs(w):
-            break
-    return best
-
-
-def _newton_polishes(coeffs, w):
-    """`_newton_polish` on an array of starts, one per cell: the same 12-step
-    budget, stop rules and best-residual rule, in the same operations."""
-    best = np.array(w, dtype=float)
-    fw = _poly_eval(coeffs, best)
-    best_res = np.abs(fw)
-    cell, w = np.arange(best.size), best
-    for _ in range(12):
-        if not cell.size:
-            break
-        dfw = _poly_eval(_poly_derivative(_take(coeffs, cell)), w)
-        step = fw / dfw
-        wn = w - step
-        moves = (dfw != 0.0) & ~(wn <= 0.0)
-        cell, w, step = cell[moves], wn[moves], step[moves]
-        fw = _poly_eval(_take(coeffs, cell), w)
-        res = np.abs(fw)
-        better = res < best_res[cell]
-        best[cell[better]], best_res[cell[better]] = w[better], res[better]
-        open_ = ~(np.abs(step) <= 1e-16 * np.abs(w))
-        cell, w, fw = cell[open_], w[open_], fw[open_]
+        better = open_ & (res < best_res)
+        best, best_res = where(better, w, best), where(better, res, best_res)
+        cycle = (w == seen[0]) | (w == seen[1]) | (w == seen[2])
+        open_ = open_ & not_(cycle | (abs(step) <= 1e-16 * abs(w)))
+        if not any_(open_):
+            return best
+        seen = (w, seen[0], seen[1])
     return best
 
 
@@ -293,17 +291,16 @@ def solve_gap(spec: OscillatorSpec, x: float, phase: Phase) -> float:
         lam_c = critical_coupling(-g, x)
         if lam > lam_c * (1.0 + 1e-12):
             raise NoPhysicalRoot(lam, lam_c)
-    problem = gap_polynomial(spec, x, phase)  # validates (k, g) support
+    coeffs = _checked_coefficients(spec, x, phase)  # validates (k, g) support
     if lam == 0.0:
         w = math.sqrt(g)  # g > 0 enforced by OscillatorSpec
     elif phase is Phase.SPONTANEOUSLY_BROKEN:
-        w = _newton_polish(problem.coefficients, _quartic_ssb_root(-g, lam, lam_c))
+        w = _newton_polish(coeffs, _quartic_ssb_root(-g, lam, lam_c))
     elif k == 4:
-        w = _newton_polish(problem.coefficients, _quartic_sr_root(g, problem.coefficients[0]))
+        w = _newton_polish(coeffs, _quartic_sr_root(g, coeffs[0]))
     elif k == 6:
-        w = _newton_polish(problem.coefficients, _sextic_sr_root(g, problem.coefficients[0]))
+        w = _newton_polish(coeffs, _sextic_sr_root(g, coeffs[0]))
     else:
-        coeffs = problem.coefficients
         w = _refine_bracket(_poly_with_derivative(coeffs), math.sqrt(0.6 * g), 1.0 + max(-coeffs[0], g))
     if not math.isfinite(w):
         raise SolverError("non-finite frequency %r at coupling %g, x = %g" % (w, lam, x))

@@ -145,7 +145,7 @@ def _rs_run(v: np.ndarray, w: float, n: int, max_order: int, start: int = 0):
     psi = [np.zeros(dim)]
     psi[0][at] = 1.0
     energies = []
-    for order in range(1, max_order + 1):
+    for order in range(1, max_order):
         vc = v @ psi[-1]
         energies.append(float(vc[at]))
         for back in range(1, order):
@@ -153,7 +153,7 @@ def _rs_run(v: np.ndarray, w: float, n: int, max_order: int, start: int = 0):
         vc *= inv
         vc[at] = 0.0
         psi.append(vc)
-    return energies
+    return energies + [float((v @ psi[-1])[at])]  # the last order needs no vector
 
 
 def rs_corrections(spec: OscillatorSpec, n: int, max_order: int = 4) -> IPTSeries:

@@ -24,6 +24,9 @@ Grids:
   T4_AHO / T4_DWO  : sextic partner pair at b = 1, doubled energies; the
                      DWO column lists levels 1..20 against rows 0..19.
 
+qes_levels(a, J, parity) gives the exact levels of the quasi-exactly-solvable
+sextic double wells, computed from their closed-form tridiagonal matrix.
+
 T1_LO_DEVIANT / T2_LO_DEVIANT name the leading-order cells whose printed
 value is off, with the recomputed value pinned at full precision.
 """
@@ -131,3 +134,20 @@ def printed_scale_tol(printed: str, eps: float = 5e-4) -> float:
     if v == 0.0:
         return eps
     return eps * 10.0 ** math.ceil(math.log10(v))
+
+
+def qes_levels(a: float, J: int, parity: int) -> list:
+    """Exact levels n = 2j + parity, j = 0..J, of the quasi-exactly-solvable
+    sextic double well lam = a²/2, g = -(4J + 3 + 2 parity) a, ascending.
+
+    Their states are x^parity P(x²) exp(-a x⁴/4) with P of degree J, and
+    the energies are half the eigenvalues of a (J+1)-state tridiagonal
+    matrix with a zero diagonal and off-diagonals
+    sqrt((2m+2+p)(2m+1+p) 4a(J-m)), m = 0..J-1 (A. V. Turbiner, Commun.
+    Math. Phys. 118, 467 (1988)).
+    """
+    import numpy as np
+
+    m = np.arange(J, dtype=float)
+    off = np.sqrt((2.0 * m + 2.0 + parity) * (2.0 * m + 1.0 + parity) * 4.0 * a * (J - m))
+    return (0.5 * np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))).tolist()

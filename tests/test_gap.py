@@ -316,7 +316,40 @@ def _newton_polish_reference(coeffs, w):
     return best
 
 
-def test_newton_polishes_are_bit_identical_to_the_reference(monkeypatch):
+def _cycle_period(coeffs, w):
+    """Period of the cycle the reference's iterates run in when no stop rule
+    ends its 12 steps, 0 if they do not repeat, None if a rule stops them."""
+    dcoeffs = gap._poly_derivative(coeffs)
+    seen = [w]
+    for _ in range(12):
+        dfw = gap._poly_eval(dcoeffs, w)
+        if dfw == 0.0:
+            return None
+        step = gap._poly_eval(coeffs, w) / dfw
+        if w - step <= 0.0:
+            return None
+        w -= step
+        if abs(step) <= 1e-16 * abs(w):
+            return None
+        seen.append(w)
+    repeats = [j for j in range(12) if seen[j] == w]
+    return 12 - repeats[-1] if repeats else 0
+
+
+def _sweep_cells(k, g):
+    """Coefficients and seeds of the undisplaced condition on a benchmark
+    sweep's grid shape, 1000 lam log-spaced over [0.01, 10] x levels 0..9,
+    as `level_grid` builds them."""
+    lam = np.repeat(np.geomspace(0.01, 10.0, 1000), 10)
+    x = np.tile([level_x(n) for n in range(10)], 1000)
+    factor = np.array([gap._level_factor(k, Phase.SYMMETRY_RESTORED, v) for v in x.tolist()])
+    coeffs = gap._coefficients(k, g, lam, factor, Phase.SYMMETRY_RESTORED)
+    if k == 4:
+        return coeffs, np.array([gap._quartic_sr_root(g, c0) for c0 in coeffs[0].tolist()])
+    return coeffs, gap._sextic_sr_root(g, coeffs[0], np.sqrt)
+
+
+def test_newton_polish_on_floats_and_arrays_is_bit_identical_to_the_reference(monkeypatch):
     # record the (coefficients, seed) pairs the solvers pass: quartic SR and
     # SSB, the sextic, and the displaced sextic's P(y)
     calls = []
@@ -344,11 +377,18 @@ def test_newton_polishes_are_bit_identical_to_the_reference(monkeypatch):
                 spectrum.sextic_ssb_solutions(OscillatorSpec(6, g, lam), n)
     assert {len(c) for c, _ in calls} == {4, 5}  # cubics and quartics
     assert sum(1 for c, _ in calls if c[-2] != 0.0) > 20  # the displaced sextic's P(y)
+    samples = [_sweep_cells(4, 1.0), _sweep_cells(4, -1.0), _sweep_cells(6, 1.0)]
     for degree in (4, 5):
         cells = [(c, w) for c, w in calls if len(c) == degree]
+        samples.append(([np.array([c[i] for c, _ in cells]) for i in range(degree)],
+                        np.array([w for _, w in cells])))
+    periods = set()
+    for coeffs, seeds in samples:
+        cells = [([float(a[i]) if isinstance(a, np.ndarray) else a for a in coeffs], w)
+                 for i, w in enumerate(seeds.tolist())]
         want = np.array([_newton_polish_reference(c, w) for c, w in cells])
-        got = np.array([original(c, w) for c, w in cells])
-        per_cell = [np.array([c[i] for c, _ in cells]) for i in range(degree)]
-        batched = gap._newton_polishes(per_cell, [w for _, w in cells])
-        assert got.tobytes() == want.tobytes()
-        assert batched.tobytes() == want.tobytes()
+        on_floats = np.array([original(c, w) for c, w in cells])
+        assert on_floats.tobytes() == want.tobytes()
+        assert original(coeffs, seeds).tobytes() == want.tobytes()
+        periods.update(_cycle_period(c, w) for c, w in cells)
+    assert {1, 2, 3} <= periods  # the cells the revisit stop ends early

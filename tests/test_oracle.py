@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import effosc.oracle as oracle_module
+from reference_tables import qes_levels
 from effosc.errors import OracleConvergenceError
 from effosc.model import OscillatorSpec
 from effosc.oracle import exact_levels, hamiltonian_matrix
@@ -265,3 +266,15 @@ def test_published_grids_keep_the_level0_basis(k, g, n_max, dims):
         res = exact_levels(spec, n_max)
         assert res.basis_w == level_solution(spec, 0).w, lam
         assert res.dim == dim, lam
+
+
+def test_exact_levels_hold_the_quasi_exactly_solvable_sextic_levels():
+    # every level n = 2j + p of the QES sextic wells lam = a²/2, g = -(4J+3+2p)a;
+    # worst 1.5e-12 of max(1, |E|), at the J = 0 zero energies (8e-15 for J >= 1)
+    for a in (0.1, 1.0, 10.0):
+        for J in range(8):
+            for p in (0, 1):
+                spec = OscillatorSpec(6, -(4 * J + 3 + 2 * p) * a, a * a / 2.0)
+                got = exact_levels(spec, 2 * J + p).eigenvalues
+                for j, want in enumerate(qes_levels(a, J, p)):
+                    assert abs(got[2 * j + p] - want) <= 5e-12 * max(1.0, abs(want)), (a, J, p, j)
