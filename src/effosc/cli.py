@@ -222,11 +222,12 @@ def _columns(records: list[dict]) -> dict:
 _RECORD_INDENT = "\n      "  # the depth of a record's values in the JSON document
 
 
-def _column_texts(values: list, fmt: str) -> list[str]:
+def _column_texts(values: list, fmt: str) -> list[str] | str:
     """Each value's text in one pass over the column: as `_json` writes it in a
-    record, or as its CSV cell (10-digit numbers, lists joined by ';')."""
-    if len(values) > 1 and all(map(is_, values, repeat(values[0]))):  # one object repeated: a grid's g
-        return _column_texts(values[:1], fmt) * len(values)
+    record, or as its CSV cell (10-digit numbers, lists joined by ';').  A
+    column of one object repeated, like a grid's g, gives its one text."""
+    if len(values) > 1 and all(map(is_, values, repeat(values[0]))):
+        return _column_texts(values[:1], fmt)[0]
     kinds = set(map(type, values))
     if kinds == {float}:
         return _float_texts(values, fmt)
@@ -278,9 +279,11 @@ def _render(meta: dict, table: dict, fmt: str, columns=None) -> str:
     """JSON, or CSV whose columns default to the table's, in order.
 
     `table` maps each record key to its column of values.  Each column is
-    encoded in one pass, and one `%` call fills every record into a template
-    made from the key list.  The first value that is not finite once rounded, in
-    record order, fails the request, as in the per-value writer `_json`.
+    encoded in one pass, and one str.join writes every record: the texts of
+    the columns that vary, interleaved with the fixed text between them, in
+    which a column of one repeated object is written once.  The first value
+    that is not finite once rounded, in record order, fails the request, as
+    in the per-value writer `_json`.
     """
     # CSV prints no meta; rounding it anyway fails a request alike in both formats
     meta_text = _json(meta, "\n  ")
@@ -292,16 +295,33 @@ def _render(meta: dict, table: dict, fmt: str, columns=None) -> str:
             for value in row:
                 _json(value)  # raises for the first value in record order
         raise
-    size = len(cells[0]) if cells else 0
-    cells = tuple(chain.from_iterable(zip(*cells)))  # record by record
+    size = len(table[keys[0]]) if keys else 0
     if fmt == "json":
-        fields = ",".join("\n      " + _json_str(key).replace("%", "%%") + ": %s" for key in keys)
         head = '{\n  "meta": ' + meta_text + ',\n  "records": '
         if not size:
             return head + "[]\n}\n"
-        records = ",\n    ".join(["{" + fields + "\n    }"] * size) % cells
-        return "".join([head, "[\n    ", records, "\n  ]\n}\n"])
-    return ",".join(keys) + "\n" + (",".join(["%s"] * len(keys)) + "\n") * size % cells
+        head += "[\n    {"
+        labels = [_RECORD_INDENT + _json_str(key) + ": " for key in keys]
+        between, tail = "\n    },\n    {", "\n    }\n  ]\n}\n"
+    else:
+        head = ",".join(keys) + "\n"
+        if not size:
+            return head
+        labels, between, tail = [""] * len(keys), "\n", "\n"
+    parts, fixed = [], ""  # per record: fixed text, a varying column's text, ..., fixed text
+    for j, (label, texts) in enumerate(zip(labels, cells)):
+        fixed += ("," if j else "") + label
+        if isinstance(texts, str):
+            fixed += texts
+        else:
+            parts += [[fixed] * size, texts]
+            fixed = ""
+    parts.append([fixed + between] * size)
+    items = [None] * (len(parts) * size)
+    for j, texts in enumerate(parts):
+        items[j::len(parts)] = texts  # record by record
+    items[0], items[-1] = head + items[0], fixed + tail
+    return "".join(items)
 
 
 def _output(args, subcommand: str, meta: dict, table: dict, columns=None) -> int:

@@ -244,10 +244,11 @@ def _newton_polish(coeffs, w):
     """The iterate of least residual, under strict <, of at most 12 Newton
     steps on the ascending coefficients from w (a float or per-cell array).
 
-    Stops at a zero slope, at a step to w <= 0, at a step of at most 1e-16
-    of w, or at an iterate equal to one of the three before it.  That last
-    stop is exact: the next iterate depends on the current one only, so the
-    steps would cycle through iterates already compared.
+    Stops at a zero slope, at a step to w <= 0 or to NaN, at a step of at
+    most 1e-16 of w, or at an iterate equal to one of the three before it.
+    The NaN and revisit stops are exact: the next iterate depends on the
+    current one only, so the steps would stay at NaN, whose residual never
+    wins, or cycle through iterates already compared.
     """
     where, not_, any_ = _ops(w)
     dcoeffs = _poly_derivative(coeffs)
@@ -258,7 +259,7 @@ def _newton_polish(coeffs, w):
         dfw = _poly_eval(dcoeffs, w)
         step = fw / where(dfw != 0.0, dfw, math.nan)
         wn = w - step
-        open_ = open_ & (dfw != 0.0) & not_(wn <= 0.0)
+        open_ = open_ & (dfw != 0.0) & (wn > 0.0)
         w = where(open_, wn, w)
         fw = _poly_eval(coeffs, w)
         res = abs(fw)

@@ -560,6 +560,45 @@ def test_column_writer_matches_the_per_value_writers_on_long_columns(fmt, refuse
         assert got == json.dumps(_round_floats(document), indent=2, allow_nan=False) + "\n"
 
 
+_REPEATED_TABLES = {
+    # every column one object in every record: each record is fixed text only
+    "all-repeated": {"kind": ["quartic-aho"] * 3, "g": [-1.0] * 3, "n": [7] * 3, "ok": [True] * 3,
+                     "corrections": [[]] * 3, "order": [[0.25, 1e20]] * 3},
+    # keys that a format template would have to escape, repeated and varying columns mixed
+    "odd-keys": {"%s": [1.0, 2.5], '"q"': ["a", "b"], "{x}": [[]] * 2, "%%": [3, 4],
+                 '{"%': ["SR"] * 2},
+}
+
+
+@pytest.mark.parametrize("case", ["all-repeated", "odd-keys", "sweep-grid"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_render_writes_repeated_columns_and_any_key_as_the_per_value_writers(fmt, case):
+    # a repeated column's one text sits in the records' fixed text; a 10k-record
+    # sweep-shaped grid puts repeated columns (kind, g, convention, corrections)
+    # among the varying ones, first and last in the CSV order
+    from effosc.cli import _column_texts, _grid_table, _render
+    from effosc.spectrum import level_grid
+
+    if case == "sweep-grid":
+        lams, levels = [0.01 * 1000.0 ** (i / 999) for i in range(1000)], list(range(10))
+        table = _grid_table("quartic-dwo", -1.0, lams, levels, level_grid(4, -1.0, lams, levels), "half")
+        columns = ["kind", "lambda", "n", "phase", "w", "E0", "g", "convention", "corrections"]
+        assert set(table["phase"]) == {"SR", "SSB"}
+    else:
+        table = _REPEATED_TABLES[case]
+        columns = list(table)[::-1]
+    repeated = {key for key, values in table.items() if isinstance(_column_texts(values, fmt), str)}
+    assert repeated == ({"kind", "g", "convention", "corrections"} if case == "sweep-grid" else
+                        set(table) if case == "all-repeated" else {"{x}", '{"%'})
+    records = [dict(zip(table, row)) for row in zip(*table.values())]
+    meta = {"kind": "quartic-dwo", "lambda": [0.5, 1.5]}
+    if fmt == "json":
+        want = _json({"meta": meta, "records": records}) + "\n"
+    else:
+        want = _csv_reference(meta, records, columns)
+    assert _render(meta, table, fmt, columns) == want
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_render_rounds_only_distinct_suspect_texts(capsys, monkeypatch, fmt):
     # a 10k-record grid (and its 1000-value meta list) is written by whole

@@ -316,23 +316,28 @@ def _newton_polish_reference(coeffs, w):
     return best
 
 
-def _cycle_period(coeffs, w):
-    """Period of the cycle the reference's iterates run in when no stop rule
-    ends its 12 steps, 0 if they do not repeat, None if a rule stops them."""
+def _reference_iterates(coeffs, w):
+    """The reference's iterates from w, and whether a stop rule ended them
+    before its 12 steps."""
     dcoeffs = gap._poly_derivative(coeffs)
     seen = [w]
     for _ in range(12):
         dfw = gap._poly_eval(dcoeffs, w)
         if dfw == 0.0:
-            return None
+            return seen, True
         step = gap._poly_eval(coeffs, w) / dfw
         if w - step <= 0.0:
-            return None
+            return seen, True
         w -= step
-        if abs(step) <= 1e-16 * abs(w):
-            return None
         seen.append(w)
-    repeats = [j for j in range(12) if seen[j] == w]
+        if abs(step) <= 1e-16 * abs(w):
+            return seen, True
+    return seen, False
+
+
+def _cycle_period(seen):
+    """Period of the cycle 13 iterates end in, 0 if the last is not a repeat."""
+    repeats = [j for j in range(12) if seen[j] == seen[12]]
     return 12 - repeats[-1] if repeats else 0
 
 
@@ -347,6 +352,12 @@ def _sweep_cells(k, g):
     if k == 4:
         return coeffs, np.array([gap._quartic_sr_root(g, c0) for c0 in coeffs[0].tolist()])
     return coeffs, gap._sextic_sr_root(g, coeffs[0], np.sqrt)
+
+
+# 1201 lam over [1e-300, 1e300] x levels up to 1e6: cells whose iterates
+# overflow to NaN, where the NaN stop ends them early
+_WIDE_LAMBDAS = np.geomspace(1e-300, 1e300, 1201).tolist()
+_WIDE_LEVELS = [0, 1, 3, 10, 100, 10**3, 10**5, 10**6]
 
 
 def test_newton_polish_on_floats_and_arrays_is_bit_identical_to_the_reference(monkeypatch):
@@ -377,18 +388,28 @@ def test_newton_polish_on_floats_and_arrays_is_bit_identical_to_the_reference(mo
                 spectrum.sextic_ssb_solutions(OscillatorSpec(6, g, lam), n)
     assert {len(c) for c, _ in calls} == {4, 5}  # cubics and quartics
     assert sum(1 for c, _ in calls if c[-2] != 0.0) > 20  # the displaced sextic's P(y)
-    samples = [_sweep_cells(4, 1.0), _sweep_cells(4, -1.0), _sweep_cells(6, 1.0)]
+    scalar_calls = len(calls)
+    for k, g in ((4, 1.0), (4, 0.3), (4, -1.0), (6, 1.0), (6, -3.0)):
+        spectrum.level_grid(k, g, _WIDE_LAMBDAS, _WIDE_LEVELS)
+    wide = [(list(c), w) for c, w in calls[scalar_calls:] if isinstance(w, np.ndarray)]
+    del calls[scalar_calls:]
+    assert len(wide) == 6  # five undisplaced grids and the displaced quartic
+    samples = [_sweep_cells(4, 1.0), _sweep_cells(4, -1.0), _sweep_cells(6, 1.0), *wide]
     for degree in (4, 5):
         cells = [(c, w) for c, w in calls if len(c) == degree]
         samples.append(([np.array([c[i] for c, _ in cells]) for i in range(degree)],
                         np.array([w for _, w in cells])))
-    periods = set()
+    periods, nan_cells = set(), 0
     for coeffs, seeds in samples:
         cells = [([float(a[i]) if isinstance(a, np.ndarray) else a for a in coeffs], w)
                  for i, w in enumerate(seeds.tolist())]
         want = np.array([_newton_polish_reference(c, w) for c, w in cells])
         on_floats = np.array([original(c, w) for c, w in cells])
         assert on_floats.tobytes() == want.tobytes()
-        assert original(coeffs, seeds).tobytes() == want.tobytes()
-        periods.update(_cycle_period(c, w) for c, w in cells)
+        with np.errstate(all="ignore"):  # the wide grids overflow, as in level_grid
+            assert original(coeffs, seeds).tobytes() == want.tobytes()
+        iterates = [_reference_iterates(c, w) for c, w in cells]
+        periods.update(_cycle_period(seen) for seen, stopped in iterates if not stopped)
+        nan_cells += sum(math.isnan(seen[-1]) for seen, _ in iterates)
     assert {1, 2, 3} <= periods  # the cells the revisit stop ends early
+    assert nan_cells > 100  # and the NaN stop
