@@ -219,13 +219,42 @@ def _columns(records: list[dict]) -> dict:
     return {key: [rec[key] for rec in records] for key in records[0]} if records else {}
 
 
+class _Tiled:
+    """A grid column given by its distinct values and how they repeat: record
+    i holds ``distinct[(i // each) % len(distinct)]``, through `tiles` runs
+    of the values.  It reads as the sequence of its records' values."""
+
+    def __init__(self, distinct, each=1, tiles=1):
+        self.distinct, self.each, self.tiles = distinct, each, tiles
+
+    def __len__(self):
+        return len(self.distinct) * self.each * self.tiles
+
+    def __iter__(self):
+        return iter(self.lay_out(self.distinct))
+
+    def lay_out(self, items):
+        """`items`, one per distinct value, in the column's record order."""
+        if self.each > 1:
+            items = list(chain.from_iterable(zip(*repeat(items, self.each))))
+        return items * self.tiles
+
+
 _RECORD_INDENT = "\n      "  # the depth of a record's values in the JSON document
 
 
-def _column_texts(values: list, fmt: str) -> list[str] | str:
+def _column_texts(values, fmt: str) -> list[str] | str:
     """Each value's text in one pass over the column: as `_json` writes it in a
     record, or as its CSV cell (10-digit numbers, lists joined by ';').  A
-    column of one object repeated, like a grid's g, gives its one text."""
+    `_Tiled` column's distinct values are written once and laid out record by
+    record.  A column whose records hold one object, a one-value `_Tiled` or
+    a list of one object repeated like `_columns` builds of a constant field,
+    gives its one text."""
+    if isinstance(values, _Tiled):
+        texts = _column_texts(values.distinct, fmt)
+        if len(values.distinct) == 1:
+            return texts[0]
+        return texts if isinstance(texts, str) else values.lay_out(texts)
     if len(values) > 1 and all(map(is_, values, repeat(values[0]))):
         return _column_texts(values[:1], fmt)[0]
     kinds = set(map(type, values))
@@ -278,12 +307,13 @@ def _float_texts(values: list[float], fmt: str) -> list[str]:
 def _render(meta: dict, table: dict, fmt: str, columns=None) -> str:
     """JSON, or CSV whose columns default to the table's, in order.
 
-    `table` maps each record key to its column of values.  Each column is
-    encoded in one pass, and one str.join writes every record: the texts of
-    the columns that vary, interleaved with the fixed text between them, in
-    which a column of one repeated object is written once.  The first value
-    that is not finite once rounded, in record order, fails the request, as
-    in the per-value writer `_json`.
+    `table` maps each record key to its column of values: a list, or a
+    `_Tiled` column of distinct values.  Each column is encoded in one pass,
+    a `_Tiled` one over its distinct values only, and one str.join writes
+    every record: the texts of the columns that vary, interleaved with the
+    fixed text between them, in which a column of one object in every record
+    is written once.  The first value that is not finite once rounded, in
+    record order, fails the request, as in the per-value writer `_json`.
     """
     # CSV prints no meta; rounding it anyway fails a request alike in both formats
     meta_text = _json(meta, "\n  ")
@@ -340,15 +370,18 @@ def _level_record(kind, g, lam, n, phase, convention, w, e0, corrections, **afte
 
 
 def _grid_table(kind, g, lams, levels, grid, convention, scale=1.0, **after_lambda) -> dict:
-    """The level columns of a solved coupling-major grid; ``after_lambda``
-    values are per coupling."""
+    """The level columns of a solved coupling-major grid.  λ, n, the
+    ``after_lambda`` columns (values per coupling) and the constant columns are
+    `_Tiled` by their distinct values; phase, w and E0 are the grid's lists."""
     size = len(lams) * len(levels)
     sr = Phase.SYMMETRY_RESTORED  # matched by identity: a Phase hashes in Python
-    per_row = {key: [v for v in values for _ in levels] for key, values in after_lambda.items()}
+    per_row = {key: _Tiled(values, len(levels)) for key, values in after_lambda.items()}
     return _level_record(
-        [kind] * size, [g] * size, [lam for lam in lams for _ in levels], list(levels) * len(lams),
-        ["SR" if phase is sr else "SSB" for phase in grid.phase], [convention] * size, grid.w,
-        grid.E0 if scale == 1.0 else [scale * e0 for e0 in grid.E0], [[]] * size, **per_row)
+        _Tiled([kind], tiles=size), _Tiled([g], tiles=size), _Tiled(lams, len(levels)),
+        _Tiled(levels, tiles=len(lams)), ["SR" if phase is sr else "SSB" for phase in grid.phase],
+        _Tiled([convention], tiles=size), grid.w,
+        grid.E0 if scale == 1.0 else [scale * e0 for e0 in grid.E0], _Tiled([[]], tiles=size),
+        **per_row)
 
 
 def _forced_grid(k, g, lams, levels, phase) -> LevelGrid:

@@ -23,13 +23,22 @@ brackets: the octic's, on one level or on an array of cells
 Newton polish, `_newton_polish`, is likewise one kernel for one level and
 for a grid's cells.  A cell stops when an iterate repeats one of the three
 before it, which returns what the 12-step budget would: Newton's next
-iterate depends on the current one only.
+iterate depends on the current one only.  The closed-form seeds are one
+kernel each as well.
+
+On an array, a kernel takes each cell's float steps in the same
+operations: + - * / and sqrt in numpy, which rounds them correctly, and
+the transcendental steps (pow, acos, asin, cos) through libm, cell by
+cell.  numpy's SIMD pow and arccos differ from libm in the last bits,
+which would move seeds and, through the polish, some frequencies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -142,17 +151,28 @@ def _poly_with_derivative(coeffs):
     return lambda t: (_poly_eval(coeffs, t), _poly_eval(dcoeffs, t))
 
 
-_FLOAT_OPS = (lambda c, x, y: x if c else y), (lambda c: not c), bool
+def _on_cells(f):
+    """The `math` (libm) function f on each cell of an array."""
+    return lambda a, *args: np.fromiter(map(f, a.tolist(), *map(repeat, args)), float, a.size)
+
+
+# (where, not, any, math) on floats and on per-cell arrays.  An array's math
+# is numpy's sqrt, which rounds correctly as libm's does, and libm's pow,
+# acos, asin and cos taken cell by cell: numpy's SIMD versions of those
+# differ from libm in the last bits.
+_FLOAT_OPS = (lambda c, x, y: x if c else y), (lambda c: not c), bool, math
+_CELL_OPS = np.where, np.logical_not, np.any, SimpleNamespace(
+    sqrt=np.sqrt, **{f.__name__: _on_cells(f) for f in (math.pow, math.acos, math.asin, math.cos)})
 
 
 def _ops(*values):
-    """(where, not, any) for the kernels below: numpy's if a value is an
-    array, and their float forms otherwise.  On arrays, one entry per cell,
-    each cell takes the float steps in the same operations, and a cell that
-    stops keeps its value while the others go on."""
+    """(where, not, any, math) for the kernels below: the per-cell forms if a
+    value is an array, and the float forms otherwise.  On arrays, one entry
+    per cell, each cell takes the float steps in the same operations, and a
+    cell that stops keeps its value while the others go on."""
     for v in values:
         if isinstance(v, np.ndarray):
-            return np.where, np.logical_not, np.any
+            return _CELL_OPS
     return _FLOAT_OPS
 
 
@@ -166,7 +186,7 @@ def _refine_bracket(f, a, b, t=None):
     precision too.  Finishes by bisection when Newton has not converged in
     200 steps.  a, b and t are floats or per-cell arrays (`_ops`).
     """
-    where, not_, any_ = _ops(a, b)
+    where, not_, any_, _ = _ops(a, b)
     fa = f(a)[0]
     at_a, at_b = fa == 0.0, f(b)[0] == 0.0
     t = where(at_a, a, where(at_b, b, 0.5 * (a + b) if t is None else t))
@@ -197,8 +217,11 @@ def _refine_bracket(f, a, b, t=None):
 # closed-form branches
 
 
-def _quartic_sr_root(g: float, q0: float) -> float:
-    """Positive root of w^3 - g w + q0 = 0 with q0 = -6 lam f(x) < 0.
+def _quartic_sr_root(g: float, q0):
+    """Positive root of w^3 - g w + q0 = 0 with q0 = -6 lam f(x) < 0; elementwise
+    in q0, a float or a per-cell array.  On an array both branches run on
+    every cell; numpy warns at the square roots of the other branch's cells,
+    which `spectrum.level_grid` runs under ``np.errstate``.
 
     Where g^3 overflows (|g| above ~5.6e102), the root is sqrt|g| t, with t
     the root of the cubic scaled to g = +-1 and q = q0 / |g|^(3/2).
@@ -210,34 +233,46 @@ def _quartic_sr_root(g: float, q0: float) -> float:
         scale = math.sqrt(abs(g))
         q = q / scale / scale / scale
         return scale * _quartic_sr_root(math.copysign(1.0, g), q)
+    where, not_, any_, m = _ops(q)
     disc = 0.25 * q * q + p3 / 27.0
-    if disc >= 0.0:  # single real root, always for g < 0
-        u = (-0.5 * q + math.sqrt(disc)) ** (1.0 / 3.0)
+    one = disc >= 0.0  # a single real root, always for g < 0
+    root = q * math.nan  # NaN, as a float or in each cell
+    if any_(one):
+        u = m.pow(-0.5 * q + m.sqrt(disc), 1.0 / 3.0)
         if g < 0.0:  # Cardano's u - p/(3u) cancels; its product form does not
-            return -q / (u * u + p / 3.0 + p * p / (9.0 * u * u))
-        return u - p / (3.0 * u)  # both terms non-negative, no cancellation
-    r = math.sqrt(-p / 3.0)
-    cosarg = max(-1.0, min(1.0, (-0.5 * q) / r**3))
-    return 2.0 * r * math.cos(math.acos(cosarg) / 3.0)
+            root = -q / (u * u + p / 3.0 + p * p / (9.0 * u * u))
+        else:
+            root = u - p / (3.0 * u)  # both terms non-negative, no cancellation
+    if any_(not_(one)):  # three real roots: the largest, trigonometrically
+        r = math.sqrt(-p / 3.0)
+        cosarg = (-0.5 * q) / r**3
+        cosarg = where(cosarg < 1.0, cosarg, 1.0)  # max(-1, min(1, .)), NaN to 1
+        cosarg = where(cosarg > -1.0, cosarg, -1.0)
+        root = where(one, root, 2.0 * r * m.cos(m.acos(cosarg) / 3.0))
+    return root
 
 
-def _sextic_sr_root(g: float, c0, sqrt=math.sqrt):
+def _sextic_sr_root(g: float, c0):
     """Positive root of the biquadratic w^4 - g w^2 + c0 = 0 with c0 <= 0, taken
-    without cancellation; elementwise in c0 with ``sqrt=np.sqrt``."""
+    without cancellation; elementwise in c0, a float or a per-cell array."""
+    sqrt = _ops(c0)[3].sqrt
     c = -c0
     disc = sqrt(g * g + 4.0 * c)
     return sqrt(0.5 * (g + disc) if g >= 0.0 else 2.0 * c / (disc - g))
 
 
-def _quartic_ssb_root(G: float, lam: float, lam_c: float) -> float:
-    """Largest root of w^3 - 2 G w + 6 lam p(x) = 0 (G = |g| > 0, lam <= lam_c).
+def _quartic_ssb_root(G: float, lam, lam_c):
+    """Largest root of w^3 - 2 G w + 6 lam p(x) = 0 (G = |g| > 0, lam <= lam_c);
+    elementwise in lam and lam_c, floats or per-cell arrays.
 
     Parametrized trigonometrically; continuous with sqrt(2G) at lam -> 0 and
     degenerating to the tangency value sqrt(2G/3) at the critical coupling.
     """
-    ratio = min(1.0, lam / lam_c)
-    theta = 0.5 * math.pi + math.asin(ratio)
-    return 2.0 * math.sqrt(2.0 * G / 3.0) * math.cos(theta / 3.0)
+    where, _, _, m = _ops(lam)
+    ratio = lam / lam_c
+    ratio = where(ratio < 1.0, ratio, 1.0)  # min(1, .), NaN to 1
+    theta = 0.5 * math.pi + m.asin(ratio)
+    return 2.0 * math.sqrt(2.0 * G / 3.0) * m.cos(theta / 3.0)
 
 
 def _newton_polish(coeffs, w):
@@ -250,7 +285,7 @@ def _newton_polish(coeffs, w):
     current one only, so the steps would stay at NaN, whose residual never
     wins, or cycle through iterates already compared.
     """
-    where, not_, any_ = _ops(w)
+    where, not_, any_, _ = _ops(w)
     dcoeffs = _poly_derivative(coeffs)
     fw = _poly_eval(coeffs, w)
     best, best_res = w, abs(fw)

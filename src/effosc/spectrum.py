@@ -399,10 +399,10 @@ def level_grid(k: int, g: float, lams, levels) -> LevelGrid:
 
     The pass solves the plain cells, those whose x, |g| (unless 0) and w, and
     the displaced quartic's w and s² where it is solvable, are plain values.
-    There it is bit for bit the scalar solve: the same seeds, its Newton
-    polish and octic bracket, each one kernel run on arrays, and
-    `_closed_form_energy`, elementwise in + - * / and sqrt, which round
-    correctly.  A displaced sextic cell calls `sextic_ssb_solutions`.  Every
+    There it is bit for bit the scalar solve: its seeds (`_quartic_sr_root`,
+    `_sextic_sr_root`, `_quartic_ssb_root`), Newton polish and octic
+    bracket, each one kernel run on arrays, and `_closed_form_energy`,
+    elementwise in + - * / and sqrt, which round correctly.  A displaced sextic cell calls `sextic_ssb_solutions`.  Every
     other cell is handed to `level_solution`, which gives its solution or
     its failure.
     """
@@ -477,9 +477,9 @@ def _undisplaced_cells(k, g, lam, x, factor):
     on cells whose x and |g| are plain, where no seed raises."""
     coeffs = _coefficients(k, g, lam, factor, Phase.SYMMETRY_RESTORED)
     if k == 4:
-        w = _newton_polish(coeffs, np.array([_quartic_sr_root(g, c0) for c0 in coeffs[0].tolist()]))
+        w = _newton_polish(coeffs, _quartic_sr_root(g, coeffs[0]))
     elif k == 6:
-        w = _newton_polish(coeffs, _sextic_sr_root(g, coeffs[0], np.sqrt))
+        w = _newton_polish(coeffs, _sextic_sr_root(g, coeffs[0]))
     else:
         c = -coeffs[0]
         w = _refine_bracket(_poly_with_derivative(coeffs), np.sqrt(0.6 * g), 1.0 + np.where(g > c, g, c))
@@ -495,12 +495,9 @@ def _displaced_quartic_cells(g, lam, x, factor, lam_c):
     one whose w or s² is not plain."""
     solvable = ~(lam > lam_c * (1.0 + 1e-12))
     cells = np.flatnonzero(solvable)
-    # a valid row has lam > 0, so lam_c > 0 here and the seed cannot raise
-    seeds = np.array([_quartic_ssb_root(-g, lam_i, lam_c_i)
-                      for lam_i, lam_c_i in zip(lam[cells].tolist(), lam_c[cells].tolist())])
     w = np.full(lam.size, math.nan)
     coeffs = _coefficients(4, g, lam[cells], factor[cells], Phase.SPONTANEOUSLY_BROKEN)
-    w[cells] = _newton_polish(coeffs, seeds)
+    w[cells] = _newton_polish(coeffs, _quartic_ssb_root(-g, lam[cells], lam_c[cells]))
     s_sq = _quartic_s_sq(g, lam, x, w)
     plain = ~solvable | (_plain(w) & ((s_sq < 0.0) | _plain(s_sq)))
     e0 = _closed_form_energy(4, g, lam, x, w, Phase.SPONTANEOUSLY_BROKEN)

@@ -599,6 +599,83 @@ def test_render_writes_repeated_columns_and_any_key_as_the_per_value_writers(fmt
     assert _render(meta, table, fmt, columns) == want
 
 
+# (kind, k, g, lams, levels, convention, scale, after_lambda) of grid tables
+# whose tiled columns have one distinct value, or one per record
+_STRUCTURED_GRIDS = {
+    "1xN": ("quartic-aho", 4, 1.0, [0.37], list(range(41)), "half", 1.0, {}),
+    "Nx1": ("sextic-aho", 6, 1.0, [0.01 * 1.02 ** i for i in range(300)], [7], "half", 1.0, {}),
+    "paper": ("sextic-dwo", 6, -3.0, [0.005 * 1.1 ** i for i in range(32)], list(range(10)), "paper",
+              2.0, {}),
+    "lambda-table": ("sextic-aho", 6, 1.0, [0.1, 1.0, 5.0], [0, 1, 2, 4], "paper-table-3", 1.0,
+                     {"lambda_table": [0.2, 2.0, 10.0]}),
+}
+
+
+def _by_definition(column) -> list:
+    """A column's record values; a `_Tiled` column's record i holds
+    distinct[(i // each) % len(distinct)]."""
+    from effosc.cli import _Tiled
+
+    if not isinstance(column, _Tiled):
+        return list(column)
+    return [column.distinct[(i // column.each) % len(column.distinct)] for i in range(len(column))]
+
+
+def _structured_table(case):
+    """(meta, table, float values the writer formats or None) of a case."""
+    from effosc.cli import _grid_table, table_records
+    from effosc.model import Phase
+    from effosc.spectrum import LevelGrid, level_grid
+
+    if case.startswith("table-"):
+        return {"id": int(case[-1])}, table_records(int(case[-1])), None
+    if case == "failing":  # cell 3's E0 is inf once scaled; record 4's w, in an earlier column, too
+        lams, levels = [0.5, 1.5, 2.5], [0, 1]
+        grid = LevelGrid(phase=[Phase.SYMMETRY_RESTORED] * 6, w=[1.0] * 4 + [_past_largest, 1.0],
+                         E0=[1.0, 2.0, 3.0, 1e308, 5.0, 6.0], failures={})
+        return {"lambda": lams}, _grid_table("sextic-aho", 1.0, lams, levels, grid, "paper", 2.0), None
+    kind, k, g, lams, levels, convention, scale, after = _STRUCTURED_GRIDS[case]
+    grid = level_grid(k, g, lams, levels)
+    table = _grid_table(kind, g, lams, levels, grid, convention, scale, **after)
+    # meta's and the lambda column's couplings, g, w and E0, and any lambda_table
+    formatted = 2 * len(lams) + 1 + 2 * len(grid.w) + sum(map(len, after.values()))
+    return {"kind": kind, "lambda": lams}, table, formatted
+
+
+@pytest.mark.parametrize("case", [*_STRUCTURED_GRIDS, "table-3", "table-4", "failing"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_tiled_grid_columns_write_as_the_per_value_writers(monkeypatch, fmt, case):
+    # a grid table's lambda, n, after-lambda and constant columns are written
+    # once per distinct value and laid out record by record, byte for byte as
+    # the per-value writers, in a CSV order with lambda first and n last; a
+    # failing grid reports its first value in record order
+    import effosc.cli as cli
+
+    with monkeypatch.context() as patch:  # a table's parts are joined by their record values
+        patch.setattr(cli._Tiled, "__iter__", lambda column: iter(_by_definition(column)))
+        plain = {key: _by_definition(column) for key, column in _structured_table(case)[1].items()}
+    meta, table, formatted = _structured_table(case)
+    if case in _STRUCTURED_GRIDS:  # coupling-major
+        _, _, _, lams, levels, *_ = _STRUCTURED_GRIDS[case]
+        assert plain["lambda"] == [lam for lam in lams for _ in levels]
+        assert plain["n"] == list(levels) * len(lams)
+    records = [dict(zip(plain, row)) for row in zip(*plain.values())]
+    columns = ["lambda", *(key for key in table if key not in ("lambda", "n")), "n"]
+    if fmt == "json":
+        want = _outcome(lambda: _json({"meta": meta, "records": records}) + "\n")
+    else:
+        want = _outcome(_csv_reference, meta, records, columns)
+    counts, float_texts = [], cli._float_texts
+    monkeypatch.setattr(cli, "_float_texts",
+                        lambda values, fmt: counts.append(len(values)) or float_texts(values, fmt))
+    got = _outcome(cli._render, meta, table, fmt, columns)
+    assert got == want
+    if case == "failing":
+        assert got == "non-finite output value inf at 10 significant digits"
+    if formatted is not None:
+        assert sum(counts) == formatted
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_render_rounds_only_distinct_suspect_texts(capsys, monkeypatch, fmt):
     # a 10k-record grid (and its 1000-value meta list) is written by whole

@@ -1,5 +1,8 @@
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -351,7 +354,7 @@ def _sweep_cells(k, g):
     coeffs = gap._coefficients(k, g, lam, factor, Phase.SYMMETRY_RESTORED)
     if k == 4:
         return coeffs, np.array([gap._quartic_sr_root(g, c0) for c0 in coeffs[0].tolist()])
-    return coeffs, gap._sextic_sr_root(g, coeffs[0], np.sqrt)
+    return coeffs, gap._sextic_sr_root(g, coeffs[0])
 
 
 # 1201 lam over [1e-300, 1e300] x levels up to 1e6: cells whose iterates
@@ -413,3 +416,102 @@ def test_newton_polish_on_floats_and_arrays_is_bit_identical_to_the_reference(mo
         nan_cells += sum(math.isnan(seen[-1]) for seen, _ in iterates)
     assert {1, 2, 3} <= periods  # the cells the revisit stop ends early
     assert nan_cells > 100  # and the NaN stop
+
+
+def _quartic_sr_root_reference(g, q0):
+    """The undisplaced quartic seed as written for one float, in Python's
+    float operations: the kernel must give its bits on floats and on arrays."""
+    p, q = -g, q0
+    try:
+        p3 = p**3
+    except OverflowError:
+        scale = math.sqrt(abs(g))
+        q = q / scale / scale / scale
+        return scale * _quartic_sr_root_reference(math.copysign(1.0, g), q)
+    disc = 0.25 * q * q + p3 / 27.0
+    if disc >= 0.0:
+        u = (-0.5 * q + math.sqrt(disc)) ** (1.0 / 3.0)
+        if g < 0.0:
+            return -q / (u * u + p / 3.0 + p * p / (9.0 * u * u))
+        return u - p / (3.0 * u)
+    r = math.sqrt(-p / 3.0)
+    cosarg = max(-1.0, min(1.0, (-0.5 * q) / r**3))
+    return 2.0 * r * math.cos(math.acos(cosarg) / 3.0)
+
+
+def _quartic_ssb_root_reference(G, lam, lam_c):
+    """The displaced quartic seed as written for one float."""
+    ratio = min(1.0, lam / lam_c)
+    theta = 0.5 * math.pi + math.asin(ratio)
+    return 2.0 * math.sqrt(2.0 * G / 3.0) * math.cos(theta / 3.0)
+
+
+def _sweep_couplings(kind, seed):
+    """The couplings of the benchmark sweep's `kind` request at `seed`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argv = next(a for a in workloads.build_argvs("sweep", seed) if a[2] == kind)
+    return [float(v) for v in argv[argv.index("--lambda") + 1].split(",")]
+
+
+def _quartic_seed_cells():
+    """(g, q0, lam, lam_c) per-cell arrays of the quartic seeds, as `level_grid`
+    builds them: the benchmark sweep's quartic-aho and quartic-dwo grids at
+    seeds 0-2, the wide grids at g in {0, +-0.3, +-1} and past the g^3
+    overflow, and for g > 0 the special values -0.0, -inf and NaN of q0."""
+    grids = [(g, _sweep_couplings(kind, seed), range(10))
+             for kind, g in (("quartic-aho", 1.0), ("quartic-dwo", -1.0)) for seed in range(3)]
+    grids += [(g, _WIDE_LAMBDAS, _WIDE_LEVELS) for g in (0.0, 0.3, -0.3, 1.0, -1.0, 1e200, -1e200)]
+    for g, lams, levels in grids:
+        lam = np.repeat(np.asarray(lams, dtype=float), len(levels))
+        x = np.tile([level_x(n) for n in levels], len(lams))
+        factor = np.array([factor_f(v) for v in x.tolist()])
+        q0 = gap._coefficients(4, g, lam, factor, Phase.SYMMETRY_RESTORED)[0]
+        if g > 0.0:
+            q0 = np.concatenate([q0, [-0.0, -math.inf, math.nan]])
+        lam_c = np.array([critical_coupling(-g, v) for v in x.tolist()]) if 0.0 > g > -1e100 else None
+        yield g, q0, lam, lam_c
+
+
+_NUMPY_MATH = {"pow": np.power, "acos": np.arccos, "asin": np.arcsin}
+
+
+def _with_numpy(name):
+    """The per-cell ops of the kernels with numpy's own version of one libm function."""
+    *ops, cell_math = gap._CELL_OPS
+    return (*ops, SimpleNamespace(**{**vars(cell_math), name: _NUMPY_MATH[name]}))
+
+
+def test_quartic_seeds_on_floats_and_arrays_are_the_scalar_seed_bit_for_bit(monkeypatch):
+    # every branch of the undisplaced seed, both Cardano forms and the
+    # trigonometric one, and the displaced seed wherever the sample reaches
+    branches = {"product": 0, "difference": 0, "trigonometric": 0}
+    numpy_differs = dict.fromkeys(_NUMPY_MATH, 0)
+    for g, q0, lam, lam_c in _quartic_seed_cells():
+        cases = [(lambda *a: gap._quartic_sr_root(g, *a), lambda *a: _quartic_sr_root_reference(g, *a),
+                  [q0])]
+        if lam_c is not None:
+            cases.append((lambda *a: gap._quartic_ssb_root(-g, *a),
+                          lambda *a: _quartic_ssb_root_reference(-g, *a), [lam, lam_c]))
+        for kernel, reference, args in cases:
+            cells = list(zip(*(a.tolist() for a in args)))
+            want = np.array([reference(*cell) for cell in cells])
+            assert np.array([kernel(*cell) for cell in cells]).tobytes() == want.tobytes(), g
+            with np.errstate(all="ignore"):  # as in level_grid
+                assert kernel(*args).tobytes() == want.tobytes(), g
+                for name in _NUMPY_MATH:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(gap, "_CELL_OPS", _with_numpy(name))
+                        moved = kernel(*args).view(np.int64) != want.view(np.int64)
+                    numpy_differs[name] += int(moved.sum())
+        if abs(g) < 1e100:
+            with np.errstate(all="ignore"):
+                one = 0.25 * q0 * q0 + (-g) ** 3 / 27.0 >= 0.0
+            branches["product" if g < 0.0 else "difference"] += int(one.sum())
+            branches["trigonometric"] += int((~one).sum())
+    assert min(branches.values()) > 1000, branches
+    # numpy's SIMD pow, arccos and arcsin each move seeds here that libm's do
+    # not: 2819, 20 and 9 of them with numpy 2.4 on an AVX-512 x86-64 host
+    assert min(numpy_differs.values()) > 0, numpy_differs
